@@ -456,7 +456,7 @@ void BM_FreshAllocCycle(benchmark::State& state) {
 }
 BENCHMARK(BM_FreshAllocCycle)->Arg(1 << 16)->Arg(1 << 22);
 
-// --- raw-write band: sync vs async rings, buffered vs O_DIRECT -------------
+// --- raw-write band: sync vs the async ring ---------------------------------
 
 // One iteration writes the same 2 MiB snapshot stream — 256 appends of
 // 8 KiB, the small-dataset shape shdf produces — then closes the file
@@ -493,66 +493,22 @@ void BM_RawWriteSync(benchmark::State& state) {
 }
 BENCHMARK(BM_RawWriteSync)->Arg(1)->Arg(8)->Arg(32);
 
-void run_async_raw_write(benchmark::State& state, vfs::AsyncOptions opts,
-                         const char* name) {
+/// The async ring: 256 logical writes collapse into 8 staging-block
+/// submissions per iteration.
+void BM_RawWriteAsync(benchmark::State& state) {
+  vfs::AsyncOptions opts;
   opts.queue_depth = static_cast<unsigned>(state.range(0));
   vfs::AsyncFileSystem fs(raw_fs(), opts);
   const std::vector<unsigned char> chunk(kRawChunk, 0x5A);
   for (auto _ : state) {
-    auto f = fs.open(name, vfs::OpenMode::kTruncate);
+    auto f = fs.open("async.bin", vfs::OpenMode::kTruncate);
     raw_write_stream(*f, chunk);
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           kRawChunks * static_cast<int64_t>(kRawChunk));
   state.counters["submissions"] = static_cast<double>(fs.stats().submissions);
 }
-
-/// Async rings with coalescing: 256 logical writes collapse into ~8
-/// staging-block submissions per iteration.
-void BM_RawWriteAsync(benchmark::State& state) {
-  run_async_raw_write(state, vfs::AsyncOptions{}, "async.bin");
-}
 BENCHMARK(BM_RawWriteAsync)->Arg(1)->Arg(8)->Arg(32);
-
-/// Async rings, coalescing off: isolates the ring's own value from the
-/// staging blocks' (one submission per logical write).
-void BM_RawWriteAsyncUncoalesced(benchmark::State& state) {
-  vfs::AsyncOptions o;
-  o.coalesce_bytes = 0;
-  run_async_raw_write(state, o, "async_unc.bin");
-}
-BENCHMARK(BM_RawWriteAsyncUncoalesced)->Arg(1)->Arg(8)->Arg(32);
-
-/// Buffered vs O_DIRECT pair: identical aligned bulk stream (8 x 256 KiB)
-/// through the async backend, page cache in vs out of the path.  Run
-/// BM_RawWriteDirect only where the filesystem accepts O_DIRECT (the
-/// direct_writes counter in the JSON confirms it did).
-void run_bulk_write(benchmark::State& state, bool direct) {
-  vfs::AsyncOptions opts;
-  opts.direct_io = direct;
-  opts.queue_depth = static_cast<unsigned>(state.range(0));
-  vfs::AsyncFileSystem fs(raw_fs(), opts);
-  const std::vector<unsigned char> chunk(256 * 1024, 0x3C);
-  const char* name = direct ? "bulk_direct.bin" : "bulk_buffered.bin";
-  for (auto _ : state) {
-    auto f = fs.open(name, vfs::OpenMode::kTruncate);
-    for (int i = 0; i < 8; ++i) f->write(chunk.data(), chunk.size());
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 8 *
-                          static_cast<int64_t>(chunk.size()));
-  state.counters["direct_writes"] =
-      static_cast<double>(fs.stats().direct_writes);
-}
-
-void BM_RawWriteBulkBuffered(benchmark::State& state) {
-  run_bulk_write(state, /*direct=*/false);
-}
-BENCHMARK(BM_RawWriteBulkBuffered)->Arg(8);
-
-void BM_RawWriteBulkDirect(benchmark::State& state) {
-  run_bulk_write(state, /*direct=*/true);
-}
-BENCHMARK(BM_RawWriteBulkDirect)->Arg(8);
 
 /// Tees every finished run into the JSON emitter (one record per reported
 /// metric) and then defers to the normal console output.

@@ -13,6 +13,10 @@
 /// the buffer would overflow, the oldest buffered blocks are written out
 /// to make room (graceful spill, never data loss).
 ///
+/// Files are written through `vfs::AsyncFileSystem` (DESIGN.md §12): on a
+/// POSIX filesystem the writes are coalesced and submitted to a
+/// thread-pool ring; any other filesystem's own files are used unchanged.
+///
 /// When there is nothing to write the server uses the *blocking* probe so
 /// its CPU goes idle and the operating system can use it — the mechanism
 /// behind the paper's SMP observation (Fig 3(b)).  With data pending it
@@ -24,7 +28,6 @@
 #include "comm/env.h"
 #include "rocpanda/layout.h"
 #include "shdf/format.h"
-#include "vfs/async.h"
 #include "vfs/vfs.h"
 
 namespace roc::rocpanda {
@@ -58,15 +61,6 @@ struct ServerOptions {
 
   /// Prepended to every file name (e.g. an output directory).
   std::string file_prefix;
-
-  /// Route the background writer and active-buffering drain through the
-  /// async vfs backend (submission/completion rings, coalesced staging
-  /// blocks, optional O_DIRECT — see `vfs::AsyncOptions`).  On non-POSIX
-  /// substrates the backend pins to its deterministic sync shim, so
-  /// simulated runs stay bit-for-bit replayable.  false keeps the direct
-  /// synchronous path (ablation, and the seed-stable default).
-  bool async_io = false;
-  vfs::AsyncOptions async;
 };
 
 struct ServerStats {
@@ -79,7 +73,8 @@ struct ServerStats {
   uint64_t sync_requests = 0;
   uint64_t read_sessions = 0;
 
-  // Async vfs backend (only populated when ServerOptions::async_io).
+  // Async vfs write path (views over the server registry's vfs.async.*
+  // entries; all zero on non-POSIX substrates, which bypass the ring).
   uint64_t async_submissions = 0;
   uint64_t async_coalesced_writes = 0;
   uint64_t async_stall_waits = 0;      ///< ring-backpressure blocks

@@ -6,7 +6,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <deque>
 #include <map>
 #include <utility>
 
@@ -15,62 +14,29 @@
 #include "util/check_hooks.h"
 #include "util/error.h"
 #include "util/log.h"
-#include "util/mutex.h"
-#include "util/thread.h"
-#include "util/thread_annotations.h"
 
 namespace roc::vfs {
 
-const char* to_string(AsyncBackend b) {
-  switch (b) {
-    case AsyncBackend::kAuto: return "auto";
-    case AsyncBackend::kSync: return "sync";
-    case AsyncBackend::kThreadPool: return "threads";
-    case AsyncBackend::kUring: return "uring";
-  }
-  return "?";
-}
-
 namespace detail {
-
-// Implemented in uring_engine.cpp (stubbed when ROCPIO_URING is off).
-bool uring_probe();
-std::unique_ptr<AsyncEngine> make_uring_engine_impl(unsigned queue_depth,
-                                                    AsyncMetrics m);
 
 /// Options, buffer pool and metric handles shared by every file an
 /// AsyncFileSystem opens (files hold a shared_ptr, so the pool outlives
 /// the decorator if a file is still open when it dies).
 struct AsyncShared {
   AsyncOptions opts;
-  AsyncBackend resolved = AsyncBackend::kSync;
-  PosixFileSystem* posix = nullptr;
   BufferPool pool;
   AsyncMetrics engine_metrics;
   telemetry::Counter& coalesced;
-  telemetry::Counter& direct_writes;
-  telemetry::Counter& buffered_writes;
   telemetry::Counter& overwrite_flushes;
 
   AsyncShared(AsyncOptions o, telemetry::MetricsRegistry& reg)
       : opts(o),
         engine_metrics(reg),
         coalesced(reg.counter("vfs.async.coalesced_writes")),
-        direct_writes(reg.counter("vfs.async.direct_writes")),
-        buffered_writes(reg.counter("vfs.async.buffered_writes")),
         overwrite_flushes(reg.counter("vfs.async.overwrite_flushes")) {}
 };
 
 }  // namespace detail
-
-bool uring_available() {
-  static const bool ok = detail::uring_probe();
-  return ok;
-}
-
-// ---------------------------------------------------------------------------
-// IoTargets
-// ---------------------------------------------------------------------------
 
 namespace {
 
@@ -78,47 +44,34 @@ namespace {
 /// one is expected to complete within this many seconds of the last.
 constexpr double kReaperDeadlineSeconds = 30.0;
 
-/// Raw-descriptor target: one buffered fd (reads, unaligned tails,
-/// overwrites) plus an optional O_DIRECT fd for aligned bulk submissions.
-/// The two descriptors are only ever handed non-overlapping byte ranges.
+/// Worker threads per ring (never more than the queue depth).
+constexpr unsigned kWorkers = 2;
+
+/// Raw-descriptor target over one buffered fd.
 class PosixTarget final : public IoTarget {
  public:
-  PosixTarget(const std::string& path, OpenMode mode, bool want_direct)
-      : path_(path) {
+  PosixTarget(const std::string& path, OpenMode mode) : path_(path) {
     const int flags =
         mode == OpenMode::kTruncate ? O_RDWR | O_CREAT | O_TRUNC : O_RDWR;
     fd_ = ::open(path.c_str(), flags, 0644);
     if (fd_ < 0) throw IoError("cannot open " + path);
-    if (want_direct) {
-      // Failure (a filesystem without O_DIRECT support) silently degrades
-      // every submission to the buffered descriptor.
-      direct_fd_ = ::open(path.c_str(), O_WRONLY | O_DIRECT);
-    }
   }
 
   ~PosixTarget() override {
-    if (direct_fd_ >= 0) ::close(direct_fd_);
     if (fd_ >= 0) ::close(fd_);
   }
   PosixTarget(const PosixTarget&) = delete;
   PosixTarget& operator=(const PosixTarget&) = delete;
 
-  int64_t pwrite(const void* data, size_t n, uint64_t offset,
-                 bool direct) noexcept override {
-    int fd = direct && direct_fd_ >= 0 ? direct_fd_ : fd_;
+  int64_t pwrite(const void* data, size_t n,
+                 uint64_t offset) noexcept override {
     const auto* p = static_cast<const unsigned char*>(data);
     size_t left = n;
     uint64_t off = offset;
     while (left > 0) {
-      const ssize_t w = ::pwrite(fd, p, left, static_cast<off_t>(off));
+      const ssize_t w = ::pwrite(fd_, p, left, static_cast<off_t>(off));
       if (w < 0) {
         if (errno == EINTR) continue;
-        if (fd != fd_ && errno == EINVAL) {
-          // The kernel rejected this shape for O_DIRECT at runtime
-          // (device with a larger logical block size); retry buffered.
-          fd = fd_;
-          continue;
-        }
         return -static_cast<int64_t>(errno);
       }
       if (w == 0) return -static_cast<int64_t>(EIO);
@@ -129,7 +82,9 @@ class PosixTarget final : public IoTarget {
     return static_cast<int64_t>(n);
   }
 
-  void read_at(void* out, size_t n, uint64_t offset) override {
+  /// Reads exactly `n` bytes at `offset`; throws IoError on shortfall.
+  /// Only called single-threaded after a ring barrier.
+  void read_at(void* out, size_t n, uint64_t offset) {
     auto* p = static_cast<unsigned char*>(out);
     size_t left = n;
     uint64_t off = offset;
@@ -143,230 +98,104 @@ class PosixTarget final : public IoTarget {
     }
   }
 
-  uint64_t size() override {
+  uint64_t size() {
     struct stat st {};
     if (::fstat(fd_, &st) != 0)
       throw IoError("size query failed on " + path_);
     return static_cast<uint64_t>(st.st_size);
   }
 
-  void flush() override {
-    // Writes go straight to the kernel through raw descriptors; there is
-    // no user-space buffer left to push (matching PosixFile's fflush-level
-    // durability, which does not fsync either).
-  }
-
-  [[nodiscard]] int ring_fd(bool direct) const override {
-    return direct && direct_fd_ >= 0 ? direct_fd_ : fd_;
-  }
-
-  [[nodiscard]] bool direct_capable() const override {
-    return direct_fd_ >= 0;
-  }
 
  private:
   std::string path_;
   int fd_ = -1;
-  int direct_fd_ = -1;
-};
-
-/// Adapter over a base `vfs::File` (Mem/Sim substrates).  Not thread-safe
-/// — only ever paired with the inline sync engine.
-class FileTarget final : public IoTarget {
- public:
-  explicit FileTarget(std::unique_ptr<File> f) : f_(std::move(f)) {}
-
-  int64_t pwrite(const void* data, size_t n, uint64_t offset,
-                 bool /*direct*/) noexcept override {
-    try {
-      f_->seek(offset);
-      f_->write(data, n);
-      return static_cast<int64_t>(n);
-    } catch (const std::exception&) {
-      return -static_cast<int64_t>(EIO);
-    }
-  }
-
-  void read_at(void* out, size_t n, uint64_t offset) override {
-    f_->seek(offset);
-    f_->read(out, n);
-  }
-
-  uint64_t size() override { return f_->size(); }
-  void flush() override { f_->flush(); }
-
- private:
-  std::unique_ptr<File> f_;
-};
-
-// ---------------------------------------------------------------------------
-// Engines
-// ---------------------------------------------------------------------------
-
-/// Deterministic shim: executes every submission inline, same ring API and
-/// counters.  Keeps roccheck schedules and virtual-time benches replayable.
-class SyncEngine final : public AsyncEngine {
- public:
-  explicit SyncEngine(AsyncMetrics m) : m_(m) {}
-
-  void submit(Sqe sqe) override {
-    m_.submissions.add(1);
-    m_.bytes_submitted.add(sqe.len);
-    m_.inflight.add(1);
-    m_.queue_depth_peak.record_peak(1);
-    const int64_t r = sqe.target->pwrite(sqe.data, sqe.len, sqe.offset,
-                                         sqe.direct);
-    MutexLock lock(mu_);
-    {
-      // Completion ring bookkeeping: bounded by queue depth, capacity
-      // retained across operations.
-      ROC_ALLOC_EXEMPT();
-      // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: completion ring bounded by
-      // queue depth; retained capacity, steady state reuses storage.
-      cq_.push_back(Cqe{sqe.id, r});
-    }
-    m_.completions.add(1);
-    m_.inflight.add(-1);
-  }
-
-  size_t reap(std::vector<Cqe>* out) override {
-    MutexLock lock(mu_);
-    const size_t n = cq_.size();
-    out->insert(out->end(), cq_.begin(), cq_.end());
-    cq_.clear();
-    return n;
-  }
-
-  void drain() override {}
-
-  [[nodiscard]] const char* name() const override { return "sync"; }
-
- private:
-  AsyncMetrics m_;
-  Mutex mu_{"async_sync_ring"};
-  std::vector<Cqe> cq_ ROC_GUARDED_BY(mu_);
-};
-
-/// Portable engine: a bounded deque drained by worker threads.  The bound
-/// (`queue_depth`) covers queued + executing submissions, so submit()
-/// blocking on it is the ring's backpressure.
-class ThreadPoolEngine final : public AsyncEngine {
- public:
-  ThreadPoolEngine(unsigned queue_depth, unsigned workers, AsyncMetrics m)
-      : depth_(queue_depth > 0 ? queue_depth : 1), m_(m) {
-    if (workers == 0) workers = 1;
-    if (workers > depth_) workers = depth_;
-    workers_.reserve(workers);
-    for (unsigned i = 0; i < workers; ++i)
-      workers_.emplace_back([this] { worker(); });
-  }
-
-  ~ThreadPoolEngine() override {
-    {
-      MutexLock lock(mu_);
-      stop_ = true;
-    }
-    cv_work_.notify_all();
-    for (Thread& t : workers_) t.join();
-  }
-  ThreadPoolEngine(const ThreadPoolEngine&) = delete;
-  ThreadPoolEngine& operator=(const ThreadPoolEngine&) = delete;
-
-  void submit(Sqe sqe) override {
-    MutexLock lock(mu_);
-    if (inflight_ >= depth_) {
-      m_.stall_waits.add(1);
-      while (inflight_ >= depth_) cv_space_.wait(mu_);
-    }
-    ++inflight_;
-    m_.submissions.add(1);
-    m_.bytes_submitted.add(sqe.len);
-    m_.inflight.add(1);
-    m_.queue_depth_peak.record_peak(static_cast<int64_t>(inflight_));
-    {
-      // Submission ring bookkeeping: bounded by queue depth (`inflight_`
-      // check above), deque chunks recycled by the allocator.
-      ROC_ALLOC_EXEMPT();
-      // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: submission ring bounded by
-      // queue depth; deque storage amortised across operations.
-      sq_.push_back(std::move(sqe));
-    }
-    cv_work_.notify_one();
-  }
-
-  size_t reap(std::vector<Cqe>* out) override {
-    MutexLock lock(mu_);
-    const size_t n = cq_.size();
-    out->insert(out->end(), cq_.begin(), cq_.end());
-    cq_.clear();
-    return n;
-  }
-
-  void drain() override {
-    MutexLock lock(mu_);
-    while (inflight_ > 0) cv_drain_.wait(mu_);
-  }
-
-  [[nodiscard]] const char* name() const override { return "threads"; }
-
- private:
-  void worker() {
-    for (;;) {
-      Sqe job;
-      {
-        MutexLock lock(mu_);
-        while (!stop_ && sq_.empty()) cv_work_.wait(mu_);
-        if (sq_.empty()) return;  // stop requested and nothing queued
-        job = std::move(sq_.front());
-        sq_.pop_front();
-      }
-      const int64_t r =
-          job.target->pwrite(job.data, job.len, job.offset, job.direct);
-      // Each completion is one heartbeat: a wedged submission (hung disk,
-      // deadlocked target) surfaces as a watchdog miss instead of a silent
-      // stall behind the ring's backpressure.
-      telemetry::watchdog::beat("vfs.async.reaper", kReaperDeadlineSeconds);
-      {
-        MutexLock lock(mu_);
-        cq_.push_back(Cqe{job.id, r});
-        --inflight_;
-        m_.completions.add(1);
-        m_.inflight.add(-1);
-        cv_space_.notify_one();
-        cv_drain_.notify_all();
-      }
-      // `job` (and its buffer pin) is released here, outside the ring lock.
-    }
-  }
-
-  const unsigned depth_;
-  AsyncMetrics m_;
-  Mutex mu_{"async_tp_ring"};
-  CondVar cv_work_;
-  CondVar cv_space_;
-  CondVar cv_drain_;
-  std::deque<Sqe> sq_ ROC_GUARDED_BY(mu_);
-  std::vector<Cqe> cq_ ROC_GUARDED_BY(mu_);
-  unsigned inflight_ ROC_GUARDED_BY(mu_) = 0;  // queued + executing
-  bool stop_ ROC_GUARDED_BY(mu_) = false;
-  std::vector<Thread> workers_;
 };
 
 }  // namespace
 
-std::unique_ptr<AsyncEngine> make_sync_engine(AsyncMetrics m) {
-  return std::make_unique<SyncEngine>(m);
+// ---------------------------------------------------------------------------
+// ThreadPoolEngine
+// ---------------------------------------------------------------------------
+
+ThreadPoolEngine::ThreadPoolEngine(unsigned queue_depth, AsyncMetrics m)
+    : depth_(queue_depth > 0 ? queue_depth : 1), m_(m) {
+  const unsigned workers = kWorkers < depth_ ? kWorkers : depth_;
+  workers_.reserve(workers);
+  for (unsigned i = 0; i < workers; ++i)
+    workers_.emplace_back([this] { worker(); });
 }
 
-std::unique_ptr<AsyncEngine> make_thread_pool_engine(unsigned queue_depth,
-                                                     unsigned workers,
-                                                     AsyncMetrics m) {
-  return std::make_unique<ThreadPoolEngine>(queue_depth, workers, m);
+ThreadPoolEngine::~ThreadPoolEngine() {
+  {
+    MutexLock lock(mu_);
+    stop_ = true;
+  }
+  cv_work_.notify_all();
+  for (Thread& t : workers_) t.join();
 }
 
-std::unique_ptr<AsyncEngine> make_uring_engine(unsigned queue_depth,
-                                               AsyncMetrics m) {
-  return detail::make_uring_engine_impl(queue_depth, m);
+// Hot-path root (rocanalyze R8-R10): every async write passes through here.
+ROC_HOT void ThreadPoolEngine::submit(Sqe sqe) {
+  MutexLock lock(mu_);
+  if (inflight_ >= depth_) {
+    m_.stall_waits.add(1);
+    while (inflight_ >= depth_) cv_space_.wait(mu_);
+  }
+  ++inflight_;
+  m_.submissions.add(1);
+  m_.bytes_submitted.add(sqe.len);
+  m_.inflight.add(1);
+  m_.queue_depth_peak.record_peak(static_cast<int64_t>(inflight_));
+  {
+    // Submission ring bookkeeping: bounded by queue depth (`inflight_`
+    // check above), deque chunks recycled by the allocator.
+    ROC_ALLOC_EXEMPT();
+    // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: submission ring bounded by
+    // queue depth; deque storage amortised across operations.
+    sq_.push_back(std::move(sqe));
+  }
+  cv_work_.notify_one();
+}
+
+size_t ThreadPoolEngine::reap(std::vector<Cqe>* out) {
+  MutexLock lock(mu_);
+  const size_t n = cq_.size();
+  out->insert(out->end(), cq_.begin(), cq_.end());
+  cq_.clear();
+  return n;
+}
+
+void ThreadPoolEngine::drain() {
+  MutexLock lock(mu_);
+  while (inflight_ > 0) cv_drain_.wait(mu_);
+}
+
+void ThreadPoolEngine::worker() {
+  for (;;) {
+    Sqe job;
+    {
+      MutexLock lock(mu_);
+      while (!stop_ && sq_.empty()) cv_work_.wait(mu_);
+      if (sq_.empty()) return;  // stop requested and nothing queued
+      job = std::move(sq_.front());
+      sq_.pop_front();
+    }
+    const int64_t r = job.target->pwrite(job.data, job.len, job.offset);
+    // Each completion is one heartbeat: a wedged submission (hung disk,
+    // deadlocked target) surfaces as a watchdog miss instead of a silent
+    // stall behind the ring's backpressure.
+    telemetry::watchdog::beat("vfs.async.reaper", kReaperDeadlineSeconds);
+    {
+      MutexLock lock(mu_);
+      cq_.push_back(Cqe{job.id, r});
+      --inflight_;
+      m_.completions.add(1);
+      m_.inflight.add(-1);
+      cv_space_.notify_one();
+      cv_drain_.notify_all();
+    }
+    // `job` (and its buffer pin) is released here, outside the ring lock.
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -375,20 +204,18 @@ std::unique_ptr<AsyncEngine> make_uring_engine(unsigned queue_depth,
 
 namespace {
 
-/// A `vfs::File` whose writes are coalesced into aligned staging blocks
-/// and submitted to a ring.  Single-threaded like every File; the engine
-/// provides the concurrency underneath.
+/// A `vfs::File` whose writes are coalesced into staging blocks and
+/// submitted to its own ring.  Single-threaded like every File; the
+/// engine provides the concurrency underneath.
 class AsyncFile final : public File {
  public:
-  AsyncFile(std::shared_ptr<detail::AsyncShared> sh,
-            std::unique_ptr<IoTarget> target,
-            std::unique_ptr<AsyncEngine> engine, std::string path)
+  AsyncFile(std::shared_ptr<detail::AsyncShared> sh, const std::string& root,
+            std::string path, OpenMode mode)
       : sh_(std::move(sh)),
-        target_(std::move(target)),
-        engine_(std::move(engine)),
-        path_(std::move(path)),
-        direct_(sh_->opts.direct_io && target_->direct_capable()) {
-    logical_size_ = target_->size();
+        target_(root + path, mode),
+        engine_(sh_->opts.queue_depth, sh_->engine_metrics),
+        path_(std::move(path)) {
+    logical_size_ = target_.size();
   }
 
   ~AsyncFile() override {
@@ -412,26 +239,6 @@ class AsyncFile final : public File {
   void writev(std::span<const ConstBuffer> segments) override {
     ROC_TRACE_SPAN("vfs", "writev");
     check_error();
-    size_t total = 0;
-    for (const ConstBuffer& s : segments) total += s.size;
-    if (total == 0) return;
-    if (sh_->opts.coalesce_bytes == 0 && pos_ == frontier()) {
-      // Uncoalesced mode still gathers ONE writev into one submission (a
-      // vectored write is one logical operation); it only never merges
-      // across calls.
-      submit_staging();
-      AlignedBuffer block = sh_->pool.acquire_aligned(total);
-      unsigned char* out = block.data();
-      for (const ConstBuffer& s : segments) {
-        if (s.size == 0) continue;
-        std::memcpy(out, s.data, s.size);
-        out += s.size;
-      }
-      submit_block(std::move(block), total, pos_);
-      pos_ += total;
-      if (pos_ > logical_size_) logical_size_ = pos_;
-      return;
-    }
     for (const ConstBuffer& s : segments) {
       if (s.size == 0) continue;
       if (!try_buffer_write(s.data, s.size)) overwrite(s.data, s.size);
@@ -444,7 +251,7 @@ class AsyncFile final : public File {
     settle();
     if (pos_ + n > logical_size_)
       throw IoError("short read from " + path_);
-    target_->read_at(out, n, pos_);
+    target_.read_at(out, n, pos_);
     pos_ += n;
   }
 
@@ -454,8 +261,11 @@ class AsyncFile final : public File {
 
   void flush() override {
     ROC_TRACE_SPAN("vfs", "flush");
+    // Writes go straight to the kernel through a raw descriptor, so once
+    // the ring settles there is no user-space buffer left to push
+    // (matching PosixFile's fflush-level durability, which does not fsync
+    // either).
     settle();
-    target_->flush();
   }
 
  private:
@@ -476,23 +286,14 @@ class AsyncFile final : public File {
       return true;
     }
     if (pos_ != frontier()) return false;
-    if (sh_->opts.coalesce_bytes == 0) {
-      submit_staging();
-      AlignedBuffer block = sh_->pool.acquire_aligned(n);
-      std::memcpy(block.data(), p, n);
-      submit_block(std::move(block), n, pos_);
-      pos_ += n;
-      if (pos_ > logical_size_) logical_size_ = pos_;
-      return true;
-    }
     if (!stage_.empty() && stage_len_ > 0) sh_->coalesced.add(1);
     while (n > 0) {
       if (stage_.empty()) {
-        stage_ = sh_->pool.acquire_aligned(sh_->opts.coalesce_bytes);
+        stage_ = sh_->pool.acquire(kStagingBytes);
         stage_off_ = pos_;
         stage_len_ = 0;
       }
-      const size_t room = stage_.capacity() - stage_len_;
+      const size_t room = kStagingBytes - stage_len_;
       const size_t take = n < room ? n : room;
       std::memcpy(stage_.data() + stage_len_, p, take);
       stage_len_ += take;
@@ -500,18 +301,18 @@ class AsyncFile final : public File {
       p += take;
       n -= take;
       if (pos_ > logical_size_) logical_size_ = pos_;
-      if (stage_len_ == stage_.capacity()) submit_staging();
+      if (stage_len_ == kStagingBytes) submit_staging();
     }
     return true;
   }
 
   /// Non-append write over settled bytes (shdf directory/superblock
-  /// rewrites): barrier the ring, then write inline through the buffered
-  /// descriptor.  Rare by construction, so the stall is acceptable.
+  /// rewrites): barrier the ring, then write inline.  Rare by
+  /// construction, so the stall is acceptable.
   void overwrite(const unsigned char* p, size_t n) {
     settle();
     sh_->overwrite_flushes.add(1);
-    const int64_t r = target_->pwrite(p, n, pos_, false);
+    const int64_t r = target_.pwrite(p, n, pos_);
     if (r != static_cast<int64_t>(n)) {
       // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: write-failure error path only.
       std::string msg = "write failed on ";
@@ -522,64 +323,41 @@ class AsyncFile final : public File {
     if (pos_ > logical_size_) logical_size_ = pos_;
   }
 
-  /// Seals the staging block (if any) and submits it.
+  /// Seals the staging block (if any) and submits its first `stage_len_`
+  /// bytes.  The sealed buffer stays pinned until its completion is
+  /// reaped, then recycles into the pool.
   void submit_staging() {
     if (stage_.empty()) return;
     const size_t len = stage_len_;
-    const uint64_t off = stage_off_;
-    AlignedBuffer block = std::move(stage_);
     stage_len_ = 0;
-    submit_block(std::move(block), len, off);
-  }
-
-  /// Submits `len` bytes of `block` at file offset `off`: the aligned
-  /// prefix rides O_DIRECT when eligible, the tail (or everything, when
-  /// unaligned) rides the buffered descriptor.  The sealed buffer stays
-  /// pinned until its completion is reaped, then recycles into the pool.
-  void submit_block(AlignedBuffer block, size_t len, uint64_t off) {
-    if (len == 0) {
-      (void)sh_->pool.seal_aligned(std::move(block), 0);
-      return;
-    }
-    SharedBuffer pin = sh_->pool.seal_aligned(std::move(block), len);
-    const size_t aligned_len =
-        direct_ && off % kIoAlignment == 0 ? len & ~(kIoAlignment - 1) : 0;
-    if (aligned_len > 0) {
-      enqueue(pin, 0, aligned_len, off, true);
-      if (len > aligned_len)
-        enqueue(pin, aligned_len, len - aligned_len, off + aligned_len,
-                false);
-    } else {
-      enqueue(pin, 0, len, off, false);
-    }
+    // seal() move-constructs its argument, which leaves stage_ empty: no
+    // staging block is open any more.
+    enqueue(sh_->pool.seal(std::move(stage_)), len, stage_off_);
     pump();
   }
 
-  void enqueue(const SharedBuffer& pin, size_t data_off, size_t len,
-               uint64_t off, bool direct) {
+  void enqueue(SharedBuffer pin, size_t len, uint64_t off) {
     ROC_TRACE_SPAN("vfs", "async.submit");
     Sqe s;
     s.id = ++next_id_;
-    s.target = target_.get();
+    s.target = &target_;
     s.offset = off;
-    s.pin = pin;
-    s.data = pin.data() + data_off;
+    s.data = pin.data();
     s.len = len;
-    s.direct = direct;
+    s.pin = std::move(pin);
     {
       // In-flight table bookkeeping, bounded by the ring's queue depth.
       ROC_ALLOC_EXEMPT();
       // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: in-flight table bounded by queue depth; one node per open submission.
-      inflight_.emplace(s.id, len);
+      inflight_.emplace(s.id, s.len);
     }
-    (direct ? sh_->direct_writes : sh_->buffered_writes).add(1);
-    engine_->submit(std::move(s));
+    engine_.submit(std::move(s));
   }
 
   /// Reaps available completions, recording the first failure.
   void pump() {
     scratch_.clear();
-    engine_->reap(&scratch_);
+    engine_.reap(&scratch_);
     for (const Cqe& c : scratch_) {
       auto it = inflight_.find(c.id);
       if (it == inflight_.end()) continue;
@@ -604,7 +382,7 @@ class AsyncFile final : public File {
     submit_staging();
     {
       ROC_TRACE_SPAN("vfs", "async.drain");
-      engine_->drain();
+      engine_.drain();
     }
     pump();
     check_error();
@@ -619,15 +397,14 @@ class AsyncFile final : public File {
   }
 
   std::shared_ptr<detail::AsyncShared> sh_;
-  std::unique_ptr<IoTarget> target_;
-  std::unique_ptr<AsyncEngine> engine_;
+  PosixTarget target_;
+  ThreadPoolEngine engine_;  ///< after target_: its workers write into it
   std::string path_;
-  const bool direct_;
 
   uint64_t pos_ = 0;
   uint64_t logical_size_ = 0;  ///< staged + settled extent
 
-  AlignedBuffer stage_;        ///< empty handle <=> no staging block open
+  std::vector<unsigned char> stage_;  ///< empty <=> no staging block open
   uint64_t stage_off_ = 0;
   size_t stage_len_ = 0;
 
@@ -651,64 +428,20 @@ AsyncFileSystem::AsyncFileSystem(FileSystem& base, AsyncOptions options,
     metrics = own_registry_.get();
   }
   shared_ = std::make_shared<detail::AsyncShared>(options, *metrics);
-  shared_->posix = dynamic_cast<PosixFileSystem*>(&base);
-  if (shared_->posix == nullptr) {
-    // `vfs::File` handles are not thread-safe, so non-POSIX bases pin to
-    // the deterministic inline engine whatever the requested backend —
-    // which is also what keeps roccheck replay and virtual-time benches
-    // bit-for-bit stable.
-    shared_->resolved = AsyncBackend::kSync;
-  } else {
-    switch (options.backend) {
-      case AsyncBackend::kAuto:
-        shared_->resolved = uring_available() ? AsyncBackend::kUring
-                                              : AsyncBackend::kThreadPool;
-        break;
-      case AsyncBackend::kUring:
-        shared_->resolved = uring_available() ? AsyncBackend::kUring
-                                              : AsyncBackend::kThreadPool;
-        break;
-      default:
-        shared_->resolved = options.backend;
-        break;
-    }
-  }
 }
 
 AsyncFileSystem::~AsyncFileSystem() = default;
 
 std::unique_ptr<File> AsyncFileSystem::open(const std::string& path,
                                             OpenMode mode) {
-  if (mode == OpenMode::kRead) return base_.open(path, mode);
+  // `vfs::File` handles are not thread-safe, so only raw POSIX descriptors
+  // can take the ring; every other base keeps its own files, which is also
+  // what keeps roccheck replay and virtual-time benches bit-for-bit stable.
+  auto* posix = dynamic_cast<PosixFileSystem*>(&base_);
+  if (mode == OpenMode::kRead || posix == nullptr)
+    return base_.open(path, mode);
   ROC_TRACE_SPAN("vfs", "open");
-  std::unique_ptr<IoTarget> target;
-  if (shared_->posix != nullptr) {
-    target = std::make_unique<PosixTarget>(shared_->posix->root() + path,
-                                           mode, shared_->opts.direct_io);
-  } else {
-    target = std::make_unique<FileTarget>(base_.open(path, mode));
-  }
-  std::unique_ptr<AsyncEngine> engine;
-  switch (shared_->resolved) {
-    case AsyncBackend::kUring:
-      engine = make_uring_engine(shared_->opts.queue_depth,
-                                 shared_->engine_metrics);
-      if (!engine)  // per-process ring limit etc.: degrade, don't fail
-        engine = make_thread_pool_engine(shared_->opts.queue_depth,
-                                         shared_->opts.workers,
-                                         shared_->engine_metrics);
-      break;
-    case AsyncBackend::kThreadPool:
-      engine = make_thread_pool_engine(shared_->opts.queue_depth,
-                                       shared_->opts.workers,
-                                       shared_->engine_metrics);
-      break;
-    default:
-      engine = make_sync_engine(shared_->engine_metrics);
-      break;
-  }
-  return std::make_unique<AsyncFile>(shared_, std::move(target),
-                                     std::move(engine), path);
+  return std::make_unique<AsyncFile>(shared_, posix->root(), path, mode);
 }
 
 bool AsyncFileSystem::exists(const std::string& path) {
@@ -729,19 +462,9 @@ AsyncFileSystem::Stats AsyncFileSystem::stats() const {
   s.bytes_submitted = m.bytes_submitted.value();
   s.stall_waits = m.stall_waits.value();
   s.coalesced_writes = shared_->coalesced.value();
-  s.direct_writes = shared_->direct_writes.value();
-  s.buffered_writes = shared_->buffered_writes.value();
   s.overwrite_flushes = shared_->overwrite_flushes.value();
   s.queue_depth_peak = m.queue_depth_peak.value();
   return s;
-}
-
-const char* AsyncFileSystem::engine_name() const {
-  return to_string(shared_->resolved);
-}
-
-AsyncBackend AsyncFileSystem::resolved_backend() const {
-  return shared_->resolved;
 }
 
 }  // namespace roc::vfs

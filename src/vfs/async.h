@@ -1,109 +1,72 @@
 #pragma once
 /// \file async.h
-/// \brief Queue-depth-aware asynchronous write backend for the vfs layer.
+/// \brief Queue-depth-aware asynchronous write path for the vfs layer.
 ///
 /// Active buffering hides I/O cost behind a background thread, but that
 /// thread still pays one synchronous syscall per block.  This layer lifts
-/// the raw-write band onto submission/completion rings (see DESIGN.md
+/// the raw writes onto a submission/completion ring (see DESIGN.md
 /// "Async I/O engine"):
 ///
-///  * `AsyncEngine`  — a bounded ring: `submit()` enqueues a positional
-///    write and blocks only when `queue_depth` operations are already in
-///    flight (backpressure); `reap()` pops completions; `drain()` is the
-///    barrier.  Three interchangeable engines implement it:
-///      - io_uring (Linux, `ROCPIO_URING` + runtime probe),
-///      - a portable thread pool with the identical ring API,
-///      - a deterministic synchronous shim that executes inline, so the
-///        Mem/Sim substrates (roccheck, virtual-time benches) stay
-///        bit-for-bit replayable.
-///  * `AsyncFile`    — a `vfs::File` that coalesces adjacent writes into
-///    pool-recycled aligned staging blocks and submits each full block as
-///    one gather operation.  Reads, seek-back overwrites and `flush()`
-///    barrier on the ring first, so the visible file contents are always
-///    byte-identical to the synchronous path (property-tested).
+///  * `ThreadPoolEngine` — a bounded ring drained by worker threads:
+///    `submit()` enqueues a positional write and blocks only when
+///    `queue_depth` operations are already in flight (backpressure);
+///    `reap()` pops completions; `drain()` is the barrier.
+///  * `AsyncFile` (internal) — a `vfs::File` that coalesces adjacent
+///    writes into pool-recycled `kStagingBytes` staging blocks and submits
+///    each full block as one operation.  Reads, seek-back overwrites and
+///    `flush()` barrier on the ring first, so the visible file contents
+///    are always byte-identical to the synchronous path (property-tested).
 ///  * `AsyncFileSystem` — decorator that routes write-mode opens of a
-///    `PosixFileSystem` through real async engines (optionally O_DIRECT
-///    with `kIoAlignment`-aligned buffers) and everything else through the
-///    sync shim.
-///
-/// Alignment contract: staging blocks come from
-/// `BufferPool::acquire_aligned`, so address and capacity are always
-/// `kIoAlignment`-aligned; a submission goes out O_DIRECT only when its
-/// file offset and length are also aligned — the unaligned tail of a flush
-/// rides the buffered descriptor instead.  The two descriptors never cover
-/// overlapping byte ranges, which keeps the mix coherent.
+///    `PosixFileSystem` through an `AsyncFile`.  Every other base (Mem,
+///    sim) gets its own `File` back untouched, which keeps roccheck replay
+///    and the virtual-time benches bit-for-bit what they are without the
+///    decorator.
 
+#include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "telemetry/metrics.h"
 #include "util/buffer.h"
+#include "util/mutex.h"
+#include "util/thread.h"
+#include "util/thread_annotations.h"
 #include "vfs/vfs.h"
 
 namespace roc::vfs {
 
-/// Which engine services a ring.
-enum class AsyncBackend {
-  kAuto,        ///< uring if available on a POSIX base, else thread pool;
-                ///< sync shim on non-POSIX bases.
-  kSync,        ///< deterministic inline execution (sim/roccheck, ablation)
-  kThreadPool,  ///< portable worker pool (POSIX bases only)
-  kUring,       ///< Linux io_uring (POSIX bases only)
-};
+/// Staging-block capacity: adjacent writes are coalesced until a block
+/// holds this much, then it is submitted as one operation.
+inline constexpr size_t kStagingBytes = 256 * 1024;
 
-[[nodiscard]] const char* to_string(AsyncBackend b);
+/// Which engine services a ring.  The thread pool is the only one; the
+/// enum stays so callers can spell the default explicitly.
+enum class AsyncBackend {
+  kAuto,  ///< thread-pool ring on a POSIX base, pass-through otherwise
+};
 
 struct AsyncOptions {
   AsyncBackend backend = AsyncBackend::kAuto;
   /// Bound on in-flight submissions per file; submit() blocks at the bound.
   unsigned queue_depth = 8;
-  /// Staging-block capacity: adjacent writes are coalesced until a block
-  /// holds this much, then it is submitted as one operation.  0 disables
-  /// cross-call coalescing (every write/writev becomes its own submission).
-  size_t coalesce_bytes = 256 * 1024;
-  /// Open an O_DIRECT descriptor alongside the buffered one and route
-  /// aligned bulk submissions through it (POSIX bases only; degrades to
-  /// buffered when the filesystem refuses O_DIRECT).
-  bool direct_io = false;
-  /// Worker count for the thread-pool engine.
-  unsigned workers = 2;
 };
 
-/// Where an engine's writes land.  Implementations must make `pwrite`
-/// callable from engine worker threads concurrently (raw descriptors are;
-/// a wrapped `vfs::File` is not, which is why non-POSIX bases are pinned
-/// to the inline sync engine).
+/// Where an engine's writes land (a raw POSIX descriptor in production,
+/// in-memory fakes in tests).  Implementations must make `pwrite` callable
+/// from engine worker threads concurrently (raw descriptors are; a wrapped
+/// `vfs::File` is not, which is why non-POSIX bases bypass the ring
+/// altogether).
 class IoTarget {
  public:
   virtual ~IoTarget() = default;
 
   /// Positional write of exactly `n` bytes; loops over partial writes.
-  /// Returns `n` on success or a negative errno value.  `direct` selects
-  /// the O_DIRECT descriptor when one exists and the kernel accepts it.
-  virtual int64_t pwrite(const void* data, size_t n, uint64_t offset,
-                         bool direct) noexcept = 0;
-
-  /// Reads exactly `n` bytes at `offset`; throws IoError on shortfall.
-  /// Only called single-threaded after a ring barrier.
-  virtual void read_at(void* out, size_t n, uint64_t offset) = 0;
-
-  [[nodiscard]] virtual uint64_t size() = 0;
-
-  /// Pushes buffered data towards stable storage (post-barrier).
-  virtual void flush() = 0;
-
-  /// Raw descriptor a kernel ring may write through for a submission with
-  /// this `direct` flag, or -1 when the target is not fd-backed.
-  [[nodiscard]] virtual int ring_fd(bool direct) const {
-    (void)direct;
-    return -1;
-  }
-
-  /// True when an O_DIRECT descriptor was actually obtained — AsyncFile
-  /// only marks submissions direct when this holds AND they are aligned.
-  [[nodiscard]] virtual bool direct_capable() const { return false; }
+  /// Returns `n` on success or a negative errno value.
+  virtual int64_t pwrite(const void* data, size_t n,
+                         uint64_t offset) noexcept = 0;
 };
 
 /// One submission-ring entry: a positional write of pinned bytes.
@@ -114,7 +77,6 @@ struct Sqe {
   SharedBuffer pin;                ///< keeps `data` alive until completion
   const unsigned char* data = nullptr;  ///< points into `pin`
   size_t len = 0;
-  bool direct = false;
 };
 
 /// One completion-ring entry.
@@ -123,7 +85,7 @@ struct Cqe {
   int64_t result = 0;  ///< bytes written, or negative errno
 };
 
-/// Cached metric handles every engine updates (registered once per
+/// Cached metric handles the engine updates (registered once per
 /// AsyncFileSystem; see DESIGN.md "Telemetry" for the naming scheme).
 struct AsyncMetrics {
   telemetry::Counter& submissions;
@@ -142,55 +104,56 @@ struct AsyncMetrics {
         queue_depth_peak(reg.gauge("vfs.async.queue_depth_peak")) {}
 };
 
-/// A bounded submission/completion ring.  Thread-safe: race_test hammers
-/// one engine from many threads; in production each AsyncFile owns its own
-/// ring (mirroring ring-per-file io_uring usage) so `drain()` is a
-/// per-file barrier.
-class AsyncEngine {
+/// A bounded submission/completion ring: a deque drained by worker
+/// threads.  The bound (`queue_depth`) covers queued + executing
+/// submissions, so submit() blocking on it is the ring's backpressure.
+/// Thread-safe: race_test hammers one engine from many threads; in
+/// production each AsyncFile owns its own ring, so `drain()` is a per-file
+/// barrier.
+class ThreadPoolEngine {
  public:
-  virtual ~AsyncEngine() = default;
+  ThreadPoolEngine(unsigned queue_depth, AsyncMetrics m);
+  ~ThreadPoolEngine();
+  ThreadPoolEngine(const ThreadPoolEngine&) = delete;
+  ThreadPoolEngine& operator=(const ThreadPoolEngine&) = delete;
 
   /// Enqueues one write.  Blocks while `queue_depth` operations are
   /// already in flight — this is the backpressure that stops a fast
   /// producer from buffering unbounded bytes.
-  /// Hot-path root (rocanalyze R8-R10): every async write passes through
-  /// an implementation of this; the decl-level ROC_HOT seeds each
-  /// override into the analyzer's hot closure.
-  ROC_HOT virtual void submit(Sqe sqe) = 0;
+  void submit(Sqe sqe);
 
   /// Appends every available completion to `*out` (non-blocking); returns
   /// how many were appended.
-  virtual size_t reap(std::vector<Cqe>* out) = 0;
+  size_t reap(std::vector<Cqe>* out);
 
   /// Blocks until everything submitted has completed (completions still
   /// need reaping afterwards).
-  virtual void drain() = 0;
+  void drain();
 
-  [[nodiscard]] virtual const char* name() const = 0;
+ private:
+  void worker();
+
+  const unsigned depth_;
+  AsyncMetrics m_;
+  Mutex mu_{"async_tp_ring"};
+  CondVar cv_work_;
+  CondVar cv_space_;
+  CondVar cv_drain_;
+  std::deque<Sqe> sq_ ROC_GUARDED_BY(mu_);
+  std::vector<Cqe> cq_ ROC_GUARDED_BY(mu_);
+  unsigned inflight_ ROC_GUARDED_BY(mu_) = 0;  // queued + executing
+  bool stop_ ROC_GUARDED_BY(mu_) = false;
+  std::vector<Thread> workers_;
 };
-
-/// Engine factories.  `make_uring_engine` returns null when io_uring is
-/// compiled out (`ROCPIO_URING=OFF`) or the kernel refuses ring setup.
-[[nodiscard]] std::unique_ptr<AsyncEngine> make_sync_engine(AsyncMetrics m);
-[[nodiscard]] std::unique_ptr<AsyncEngine> make_thread_pool_engine(
-    unsigned queue_depth, unsigned workers, AsyncMetrics m);
-[[nodiscard]] std::unique_ptr<AsyncEngine> make_uring_engine(
-    unsigned queue_depth, AsyncMetrics m);
-
-/// True when the io_uring backend is compiled in AND the running kernel
-/// accepts ring setup (probed once, cached).
-[[nodiscard]] bool uring_available();
 
 namespace detail {
 struct AsyncShared;  // pool + options + metric handles shared by files
 }  // namespace detail
 
-/// Decorator that routes write-mode opens through an async engine.  On a
-/// `PosixFileSystem` base it opens raw descriptors itself (uring or thread
-/// pool, optionally O_DIRECT); any other base keeps the deterministic sync
-/// shim over the base's own `File`s, so substituting this decorator never
-/// changes simulated/replayed behaviour.  Read-mode opens pass straight
-/// through to the base.
+/// Decorator that routes write-mode opens of a `PosixFileSystem` through
+/// the thread-pool ring.  Any other base hands back its own `File`s
+/// unchanged, so substituting this decorator never changes simulated or
+/// replayed behaviour.  Read-mode opens pass straight through to the base.
 class AsyncFileSystem final : public FileSystem {
  public:
   /// `base` must outlive this decorator.  Metrics register in `metrics`
@@ -214,16 +177,10 @@ class AsyncFileSystem final : public FileSystem {
     uint64_t stall_waits = 0;       ///< submits that hit backpressure
     uint64_t coalesced_writes = 0;  ///< logical writes merged into an
                                     ///< already-open staging block
-    uint64_t direct_writes = 0;     ///< submissions on the O_DIRECT fd
-    uint64_t buffered_writes = 0;   ///< submissions on the buffered fd
     uint64_t overwrite_flushes = 0; ///< barriers forced by non-append writes
     int64_t queue_depth_peak = 0;
   };
   [[nodiscard]] Stats stats() const;
-
-  /// Engine the next write-mode open will use ("uring", "threads", "sync").
-  [[nodiscard]] const char* engine_name() const;
-  [[nodiscard]] AsyncBackend resolved_backend() const;
 
  private:
   FileSystem& base_;

@@ -1,11 +1,10 @@
 /// \file async_test.cpp
-/// \brief Unit and property tests for the async vfs backend: aligned pool
-/// buckets, the three ring engines, and the byte-identity guarantee of
-/// `AsyncFile` against the synchronous POSIX path.
+/// \brief Unit and property tests for the async vfs write path: the
+/// thread-pool ring, and the byte-identity guarantee of `AsyncFile`
+/// against the synchronous POSIX path.
 
 #include <gtest/gtest.h>
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -27,61 +26,6 @@ namespace roc::vfs {
 namespace {
 
 // ---------------------------------------------------------------------------
-// AlignedBuffer / aligned pool buckets
-// ---------------------------------------------------------------------------
-
-TEST(AlignedBuffer, AllocationIsAlignedAndRoundedUp) {
-  AlignedBuffer b = AlignedBuffer::allocate(100);
-  ASSERT_FALSE(b.empty());
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(b.data()) % kIoAlignment, 0u);
-  EXPECT_EQ(b.capacity(), kIoAlignment);  // rounded up to one unit
-
-  AlignedBuffer c = AlignedBuffer::allocate(kIoAlignment + 1);
-  EXPECT_EQ(c.capacity(), 2 * kIoAlignment);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(c.data()) % kIoAlignment, 0u);
-}
-
-TEST(AlignedBuffer, DefaultConstructedIsEmpty) {
-  AlignedBuffer b;
-  EXPECT_TRUE(b.empty());
-  EXPECT_EQ(b.capacity(), 0u);
-}
-
-TEST(BufferPoolAligned, SealKeepsBytesAndAlignment) {
-  BufferPool pool;
-  AlignedBuffer b = pool.acquire_aligned(5000);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(b.data()) % kIoAlignment, 0u);
-  EXPECT_GE(b.capacity(), 5000u);
-  EXPECT_EQ(b.capacity() % kIoAlignment, 0u);
-  for (size_t i = 0; i < 5000; ++i)
-    b.data()[i] = static_cast<unsigned char>(i * 7);
-  SharedBuffer s = pool.seal_aligned(std::move(b), 5000);
-  ASSERT_EQ(s.size(), 5000u);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(s.data()) % kIoAlignment, 0u);
-  for (size_t i = 0; i < 5000; ++i)
-    EXPECT_EQ(s.data()[i], static_cast<unsigned char>(i * 7));
-}
-
-TEST(BufferPoolAligned, RecyclesThroughTheFreeList) {
-  BufferPool pool;
-  { SharedBuffer s = pool.seal_aligned(pool.acquire_aligned(4096), 4096); }
-  const BufferPool::Stats after_first = pool.stats();
-  EXPECT_EQ(after_first.returns, 1u);
-  // Same size class again: must be served from the free list.
-  AlignedBuffer again = pool.acquire_aligned(4096);
-  const BufferPool::Stats after_second = pool.stats();
-  EXPECT_EQ(after_second.hits, after_first.hits + 1);
-  EXPECT_FALSE(again.empty());
-}
-
-TEST(BufferPoolAligned, SealZeroBytesIsEmptyAndRecycles) {
-  BufferPool pool;
-  SharedBuffer s = pool.seal_aligned(pool.acquire_aligned(4096), 0);
-  EXPECT_TRUE(s.empty());
-  EXPECT_EQ(pool.stats().returns, 1u);  // block went straight back
-}
-
-// ---------------------------------------------------------------------------
 // Engine fixtures
 // ---------------------------------------------------------------------------
 
@@ -91,25 +35,14 @@ class FlatTarget final : public IoTarget {
  public:
   explicit FlatTarget(size_t capacity) : bytes_(capacity, 0) {}
 
-  int64_t pwrite(const void* data, size_t n, uint64_t offset,
-                 bool /*direct*/) noexcept override {
+  int64_t pwrite(const void* data, size_t n,
+                 uint64_t offset) noexcept override {
     MutexLock lock(mu_);
     if (offset + n > bytes_.size()) return -static_cast<int64_t>(EFBIG);
     std::memcpy(bytes_.data() + offset, data, n);
     if (offset + n > extent_) extent_ = offset + n;
     return static_cast<int64_t>(n);
   }
-
-  void read_at(void* out, size_t n, uint64_t offset) override {
-    MutexLock lock(mu_);
-    std::memcpy(out, bytes_.data() + offset, n);
-  }
-
-  uint64_t size() override {
-    MutexLock lock(mu_);
-    return extent_;
-  }
-  void flush() override {}
 
   [[nodiscard]] std::vector<unsigned char> contents() {
     MutexLock lock(mu_);
@@ -126,8 +59,7 @@ class FlatTarget final : public IoTarget {
 /// concurrent writers, which exposes the engine's real parallelism.
 class GateTarget final : public IoTarget {
  public:
-  int64_t pwrite(const void*, size_t n, uint64_t,
-                 bool) noexcept override {
+  int64_t pwrite(const void*, size_t n, uint64_t) noexcept override {
     MutexLock lock(mu_);
     ++active_;
     if (active_ > peak_) peak_ = active_;
@@ -135,9 +67,6 @@ class GateTarget final : public IoTarget {
     --active_;
     return static_cast<int64_t>(n);
   }
-  void read_at(void*, size_t, uint64_t) override {}
-  uint64_t size() override { return 0; }
-  void flush() override {}
 
   void open_gate() {
     MutexLock lock(mu_);
@@ -160,12 +89,9 @@ class GateTarget final : public IoTarget {
 /// Every write fails with a fixed errno.
 class FailingTarget final : public IoTarget {
  public:
-  int64_t pwrite(const void*, size_t, uint64_t, bool) noexcept override {
+  int64_t pwrite(const void*, size_t, uint64_t) noexcept override {
     return -static_cast<int64_t>(ENOSPC);
   }
-  void read_at(void*, size_t, uint64_t) override {}
-  uint64_t size() override { return 0; }
-  void flush() override {}
 };
 
 Sqe make_sqe(uint64_t id, IoTarget* t, const unsigned char* data, size_t n,
@@ -180,7 +106,7 @@ Sqe make_sqe(uint64_t id, IoTarget* t, const unsigned char* data, size_t n,
 }
 
 /// Drains the engine and reaps everything still pending.
-std::vector<Cqe> settle(AsyncEngine& e) {
+std::vector<Cqe> settle(ThreadPoolEngine& e) {
   e.drain();
   std::vector<Cqe> out;
   e.reap(&out);
@@ -191,35 +117,18 @@ std::vector<Cqe> settle(AsyncEngine& e) {
 // Engines
 // ---------------------------------------------------------------------------
 
-TEST(SyncEngine, ExecutesInlineAndReapsEveryCompletion) {
-  telemetry::MetricsRegistry reg;
-  auto e = make_sync_engine(AsyncMetrics(reg));
-  FlatTarget target(1024);
-  const unsigned char payload[] = "hello rings";
-  e->submit(make_sqe(1, &target, payload, 5, 0));
-  e->submit(make_sqe(2, &target, payload + 6, 5, 5));
-  // Inline execution: the bytes are on the target before any drain.
-  EXPECT_EQ(target.size(), 10u);
-  const auto cq = settle(*e);
-  ASSERT_EQ(cq.size(), 2u);
-  EXPECT_EQ(cq[0].result, 5);
-  EXPECT_EQ(cq[1].result, 5);
-  EXPECT_EQ(reg.counter("vfs.async.submissions").value(), 2u);
-  EXPECT_EQ(reg.counter("vfs.async.completions").value(), 2u);
-}
-
 TEST(ThreadPoolEngine, WritesEverythingAndCompletionsMatch) {
   telemetry::MetricsRegistry reg;
-  auto e = make_thread_pool_engine(8, 2, AsyncMetrics(reg));
+  ThreadPoolEngine e(8, AsyncMetrics(reg));
   FlatTarget target(1 << 16);
   std::vector<std::vector<unsigned char>> payloads;
   for (int i = 0; i < 40; ++i)
     payloads.emplace_back(100, static_cast<unsigned char>(i + 1));
   for (int i = 0; i < 40; ++i)
-    e->submit(make_sqe(static_cast<uint64_t>(i + 1), &target,
-                       payloads[static_cast<size_t>(i)].data(), 100,
-                       static_cast<uint64_t>(i) * 100));
-  const auto cq = settle(*e);
+    e.submit(make_sqe(static_cast<uint64_t>(i + 1), &target,
+                      payloads[static_cast<size_t>(i)].data(), 100,
+                      static_cast<uint64_t>(i) * 100));
+  const auto cq = settle(e);
   ASSERT_EQ(cq.size(), 40u);
   for (const Cqe& c : cq) EXPECT_EQ(c.result, 100);
   const auto bytes = target.contents();
@@ -234,14 +143,14 @@ TEST(ThreadPoolEngine, WritesEverythingAndCompletionsMatch) {
 TEST(ThreadPoolEngine, BackpressureBoundsInflightAtQueueDepth) {
   telemetry::MetricsRegistry reg;
   constexpr unsigned kDepth = 2;
-  auto e = make_thread_pool_engine(kDepth, 4, AsyncMetrics(reg));
+  ThreadPoolEngine e(kDepth, AsyncMetrics(reg));
   GateTarget gate;
   static const unsigned char byte = 0;
   // The producer must block on the ring bound: the gate never opens until
   // the stall is observed, so the 3rd submit cannot proceed.
   roc::Thread producer([&] {
     for (uint64_t id = 1; id <= 6; ++id)
-      e->submit(make_sqe(id, &gate, &byte, 1, 0));
+      e.submit(make_sqe(id, &gate, &byte, 1, 0));
   });
   while (reg.counter("vfs.async.stall_waits").value() == 0)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -249,7 +158,7 @@ TEST(ThreadPoolEngine, BackpressureBoundsInflightAtQueueDepth) {
             static_cast<int64_t>(kDepth));
   gate.open_gate();
   producer.join();
-  const auto cq = settle(*e);
+  const auto cq = settle(e);
   EXPECT_EQ(cq.size(), 6u);
   EXPECT_LE(gate.peak(), kDepth);
   EXPECT_GE(reg.counter("vfs.async.stall_waits").value(), 1u);
@@ -257,83 +166,14 @@ TEST(ThreadPoolEngine, BackpressureBoundsInflightAtQueueDepth) {
 
 TEST(ThreadPoolEngine, ErrorResultsSurfaceInCompletions) {
   telemetry::MetricsRegistry reg;
-  auto e = make_thread_pool_engine(4, 1, AsyncMetrics(reg));
+  ThreadPoolEngine e(4, AsyncMetrics(reg));
   FailingTarget target;
   static const unsigned char byte = 0;
-  e->submit(make_sqe(7, &target, &byte, 1, 0));
-  const auto cq = settle(*e);
+  e.submit(make_sqe(7, &target, &byte, 1, 0));
+  const auto cq = settle(e);
   ASSERT_EQ(cq.size(), 1u);
   EXPECT_EQ(cq[0].id, 7u);
   EXPECT_EQ(cq[0].result, -static_cast<int64_t>(ENOSPC));
-}
-
-/// Raw-fd target for exercising the kernel ring directly.
-class RawFdTarget final : public IoTarget {
- public:
-  explicit RawFdTarget(const std::string& path) {
-    fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
-  }
-  ~RawFdTarget() override {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  RawFdTarget(const RawFdTarget&) = delete;
-  RawFdTarget& operator=(const RawFdTarget&) = delete;
-
-  int64_t pwrite(const void* data, size_t n, uint64_t offset,
-                 bool /*direct*/) noexcept override {
-    const auto* p = static_cast<const unsigned char*>(data);
-    size_t left = n;
-    while (left > 0) {
-      const ssize_t w = ::pwrite(  // LINT-ALLOW(raw-io): IoTarget impl.
-          fd_, p, left, static_cast<off_t>(offset + (n - left)));
-      if (w < 0 && errno == EINTR) continue;
-      if (w <= 0) return -static_cast<int64_t>(errno ? errno : EIO);
-      p += w;
-      left -= static_cast<size_t>(w);
-    }
-    return static_cast<int64_t>(n);
-  }
-  void read_at(void* out, size_t n, uint64_t offset) override {
-    ASSERT_EQ(::pread(fd_, out, n, static_cast<off_t>(offset)),
-              static_cast<ssize_t>(n));
-  }
-  uint64_t size() override { return 0; }
-  void flush() override {}
-  [[nodiscard]] int ring_fd(bool) const override { return fd_; }
-  [[nodiscard]] bool ok() const { return fd_ >= 0; }
-
- private:
-  int fd_ = -1;
-};
-
-TEST(UringEngine, WritesThroughTheKernelRing) {
-  if (!uring_available()) GTEST_SKIP() << "io_uring unavailable";
-  telemetry::MetricsRegistry reg;
-  auto e = make_uring_engine(4, AsyncMetrics(reg));
-  ASSERT_NE(e, nullptr);
-  EXPECT_STREQ(e->name(), "uring");
-  const auto path = std::filesystem::temp_directory_path() /
-                    ("rocpio_uring_test_" + std::to_string(::getpid()));
-  RawFdTarget target(path.string());
-  ASSERT_TRUE(target.ok());
-  std::vector<std::vector<unsigned char>> payloads;
-  for (int i = 0; i < 16; ++i)
-    payloads.emplace_back(512, static_cast<unsigned char>(i + 1));
-  for (int i = 0; i < 16; ++i)
-    e->submit(make_sqe(static_cast<uint64_t>(i + 1), &target,
-                       payloads[static_cast<size_t>(i)].data(), 512,
-                       static_cast<uint64_t>(i) * 512));
-  const auto cq = settle(*e);
-  ASSERT_EQ(cq.size(), 16u);
-  for (const Cqe& c : cq) EXPECT_EQ(c.result, 512);
-  std::vector<unsigned char> back(512);
-  for (int i = 0; i < 16; ++i) {
-    target.read_at(back.data(), back.size(), static_cast<uint64_t>(i) * 512);
-    EXPECT_EQ(back[0], static_cast<unsigned char>(i + 1));
-    EXPECT_EQ(back[511], static_cast<unsigned char>(i + 1));
-  }
-  e.reset();
-  std::filesystem::remove(path);
 }
 
 // ---------------------------------------------------------------------------
@@ -341,20 +181,20 @@ TEST(UringEngine, WritesThroughTheKernelRing) {
 // ---------------------------------------------------------------------------
 
 /// Replays a deterministic mixed op sequence — appends, vectored appends,
-/// seek-back overwrites, flushes — with segment sizes drawn to straddle
-/// sector boundaries (plenty of non-4096-multiple tails).
-void run_ops(File& f, uint32_t seed) {
+/// seek-back overwrites, flushes — with append sizes up to `max_len`,
+/// drawn to straddle page boundaries (plenty of non-4096-multiple tails).
+void run_ops(File& f, uint32_t seed, size_t max_len = 9000, int ops = 300) {
   std::mt19937 rng(seed);
-  std::uniform_int_distribution<size_t> len_dist(1, 9000);
+  std::uniform_int_distribution<size_t> len_dist(1, max_len);
   uint64_t end = 0;
   auto fill = [&rng](std::vector<unsigned char>& v) {
     for (auto& b : v) b = static_cast<unsigned char>(rng());
   };
-  for (int op = 0; op < 300; ++op) {
+  for (int op = 0; op < ops; ++op) {
     const unsigned kind = rng() % 10;
     if (kind < 6 || end < 128) {  // plain append
       size_t n = len_dist(rng);
-      if (op % 17 == 0) n = kIoAlignment * (1 + rng() % 3);  // aligned runs
+      if (op % 17 == 0) n = 4096 * (1 + rng() % 3);  // page-sized runs
       std::vector<unsigned char> data(n);
       fill(data);
       f.seek(end);
@@ -410,10 +250,11 @@ class ByteIdentityTest : public ::testing::Test {
   /// Writes the reference file synchronously and the candidate through an
   /// AsyncFileSystem with `opts`; the two must match bit for bit.
   void expect_identical(const char* name, AsyncOptions opts,
-                        uint32_t seed = 20260808) {
+                        size_t max_len = 9000, int ops = 300) {
+    constexpr uint32_t kSeed = 20260808;
     {
       auto ref = fs_->open("ref.bin", OpenMode::kTruncate);
-      run_ops(*ref, seed);
+      run_ops(*ref, kSeed, max_len, ops);
     }
     AsyncFileSystem async_fs(*fs_, opts);
     {
@@ -422,7 +263,7 @@ class ByteIdentityTest : public ::testing::Test {
       cand += name;
       cand += ".bin";
       auto f = async_fs.open(cand, OpenMode::kTruncate);
-      run_ops(*f, seed);
+      run_ops(*f, kSeed, max_len, ops);
       f.reset();  // close settles the ring
       EXPECT_EQ(read_all(*fs_, cand), read_all(*fs_, "ref.bin"))
           << "config " << name << " diverged from the sync path";
@@ -433,54 +274,18 @@ class ByteIdentityTest : public ::testing::Test {
   std::filesystem::path root_;
 };
 
-TEST_F(ByteIdentityTest, SyncShim) {
-  AsyncOptions o;
-  o.backend = AsyncBackend::kSync;
-  expect_identical("sync", o);
-}
-
 TEST_F(ByteIdentityTest, ThreadPool) {
-  AsyncOptions o;
-  o.backend = AsyncBackend::kThreadPool;
-  expect_identical("threads", o);
+  expect_identical("threads", AsyncOptions{});
 }
 
 TEST_F(ByteIdentityTest, ThreadPoolSmallStagingBlocks) {
+  // Staging blocks that are small against the writes: appends up to a
+  // staging block and more, single writes that fill a block and spill into
+  // the next, overwrites of bytes that are staged in one block and settled
+  // in another, and a shallow ring that stalls.
   AsyncOptions o;
-  o.backend = AsyncBackend::kThreadPool;
-  o.coalesce_bytes = 8192;  // many block submissions, offsets mostly unaligned
-  o.queue_depth = 4;
-  expect_identical("threads_small", o);
-}
-
-TEST_F(ByteIdentityTest, ThreadPoolUncoalesced) {
-  AsyncOptions o;
-  o.backend = AsyncBackend::kThreadPool;
-  o.coalesce_bytes = 0;
-  expect_identical("threads_uncoalesced", o);
-}
-
-TEST_F(ByteIdentityTest, ThreadPoolDirect) {
-  AsyncOptions o;
-  o.backend = AsyncBackend::kThreadPool;
-  o.direct_io = true;
-  expect_identical("threads_direct", o);
-}
-
-TEST_F(ByteIdentityTest, Uring) {
-  if (!uring_available()) GTEST_SKIP() << "io_uring unavailable";
-  AsyncOptions o;
-  o.backend = AsyncBackend::kUring;
-  expect_identical("uring", o);
-}
-
-TEST_F(ByteIdentityTest, UringDirect) {
-  if (!uring_available()) GTEST_SKIP() << "io_uring unavailable";
-  AsyncOptions o;
-  o.backend = AsyncBackend::kUring;
-  o.direct_io = true;
-  o.queue_depth = 32;
-  expect_identical("uring_direct", o);
+  o.queue_depth = 2;
+  expect_identical("staging", o, kStagingBytes + 4096, /*ops=*/60);
 }
 
 TEST(ByteIdentityMem, ShimOverMemFileSystemMatchesBase) {
@@ -490,12 +295,12 @@ TEST(ByteIdentityMem, ShimOverMemFileSystemMatchesBase) {
     run_ops(*ref, 42);
   }
   AsyncFileSystem async_fs(mem, AsyncOptions{});
-  EXPECT_EQ(async_fs.resolved_backend(), AsyncBackend::kSync);
   {
     auto f = async_fs.open("cand.bin", OpenMode::kTruncate);
     run_ops(*f, 42);
   }
   EXPECT_EQ(read_all(mem, "cand.bin"), read_all(mem, "ref.bin"));
+  EXPECT_EQ(async_fs.stats().submissions, 0u);  // the base's own File
 }
 
 // ---------------------------------------------------------------------------
@@ -519,9 +324,7 @@ class AsyncFsTest : public ::testing::Test {
 };
 
 TEST_F(AsyncFsTest, CoalescingMergesSmallAppendsIntoFewSubmissions) {
-  AsyncOptions o;
-  o.backend = AsyncBackend::kThreadPool;
-  AsyncFileSystem async_fs(*fs_, o);
+  AsyncFileSystem async_fs(*fs_, AsyncOptions{});
   {
     auto f = async_fs.open("many.bin", OpenMode::kTruncate);
     std::vector<unsigned char> chunk(1000, 0xAB);
@@ -535,51 +338,8 @@ TEST_F(AsyncFsTest, CoalescingMergesSmallAppendsIntoFewSubmissions) {
   EXPECT_EQ(s.bytes_submitted, 200000u);
 }
 
-TEST_F(AsyncFsTest, UncoalescedModeSubmitsPerCall) {
-  AsyncOptions o;
-  o.backend = AsyncBackend::kThreadPool;
-  o.coalesce_bytes = 0;
-  AsyncFileSystem async_fs(*fs_, o);
-  {
-    auto f = async_fs.open("percall.bin", OpenMode::kTruncate);
-    std::vector<unsigned char> chunk(1000, 0xCD);
-    for (int i = 0; i < 50; ++i) f->write(chunk.data(), chunk.size());
-  }
-  const auto s = async_fs.stats();
-  EXPECT_EQ(s.submissions, 50u);
-  EXPECT_EQ(s.coalesced_writes, 0u);
-}
-
-TEST_F(AsyncFsTest, DirectSubmissionsForAlignedBulk) {
-  // Probe the filesystem first: O_DIRECT support varies (tmpfs refuses it).
-  const std::string probe_path = (root_ / "probe.bin").string();
-  const int probe =
-      ::open(probe_path.c_str(), O_WRONLY | O_CREAT | O_DIRECT, 0644);
-  if (probe < 0) GTEST_SKIP() << "filesystem does not support O_DIRECT";
-  ::close(probe);
-
-  AsyncOptions o;
-  o.backend = AsyncBackend::kThreadPool;
-  o.direct_io = true;
-  o.coalesce_bytes = 64 * 1024;
-  AsyncFileSystem async_fs(*fs_, o);
-  {
-    auto f = async_fs.open("direct.bin", OpenMode::kTruncate);
-    std::vector<unsigned char> chunk(64 * 1024, 0xEF);
-    for (int i = 0; i < 4; ++i) f->write(chunk.data(), chunk.size());
-    // Unaligned tail rides the buffered descriptor.
-    f->write(chunk.data(), 100);
-  }
-  const auto s = async_fs.stats();
-  EXPECT_GE(s.direct_writes, 4u);
-  EXPECT_GE(s.buffered_writes, 1u);
-  EXPECT_EQ(read_all(*fs_, "direct.bin").size(), 4u * 64 * 1024 + 100);
-}
-
 TEST_F(AsyncFsTest, OverwritesBarrierTheRing) {
-  AsyncOptions o;
-  o.backend = AsyncBackend::kThreadPool;
-  AsyncFileSystem async_fs(*fs_, o);
+  AsyncFileSystem async_fs(*fs_, AsyncOptions{});
   {
     auto f = async_fs.open("over.bin", OpenMode::kTruncate);
     std::vector<unsigned char> data(10000, 0x11);
@@ -599,26 +359,6 @@ TEST_F(AsyncFsTest, ReadModeOpensPassThrough) {
   EXPECT_TRUE(async_fs.exists("r.bin"));
   async_fs.remove("r.bin");
   EXPECT_FALSE(fs_->exists("r.bin"));
-}
-
-TEST_F(AsyncFsTest, ResolvedBackendReportsEngine) {
-  AsyncOptions o;
-  o.backend = AsyncBackend::kThreadPool;
-  AsyncFileSystem tp(*fs_, o);
-  EXPECT_EQ(tp.resolved_backend(), AsyncBackend::kThreadPool);
-  EXPECT_STREQ(tp.engine_name(), "threads");
-
-  AsyncFileSystem autod(*fs_, AsyncOptions{});
-  if (uring_available())
-    EXPECT_EQ(autod.resolved_backend(), AsyncBackend::kUring);
-  else
-    EXPECT_EQ(autod.resolved_backend(), AsyncBackend::kThreadPool);
-
-  MemFileSystem mem;
-  AsyncOptions want_uring;
-  want_uring.backend = AsyncBackend::kUring;
-  AsyncFileSystem shim(mem, want_uring);
-  EXPECT_EQ(shim.resolved_backend(), AsyncBackend::kSync);  // pinned
 }
 
 }  // namespace

@@ -306,20 +306,17 @@ TEST(RaceTest, TraceRingHammer) {
 /// whatever completions are available, then the main thread drains.  This
 /// hammers the submission deque, the backpressure condvar and the
 /// completion ring from every side at once (production uses one ring per
-/// file, but the engines promise thread safety and TSan holds them to it).
+/// file, but the engine promises thread safety and TSan holds it to that).
 TEST(RaceTest, CompletionRingHammer) {
   class StripedTarget final : public vfs::IoTarget {
    public:
     explicit StripedTarget(size_t n) : bytes_(n, 0) {}
-    int64_t pwrite(const void* data, size_t n, uint64_t offset,
-                   bool /*direct*/) noexcept override {
+    int64_t pwrite(const void* data, size_t n,
+                   uint64_t offset) noexcept override {
       MutexLock lock(mu_);
       std::memcpy(bytes_.data() + offset, data, n);
       return static_cast<int64_t>(n);
     }
-    void read_at(void*, size_t, uint64_t) override {}
-    uint64_t size() override { return 0; }
-    void flush() override {}
     [[nodiscard]] unsigned char at(size_t i) {
       MutexLock lock(mu_);
       return bytes_[i];
@@ -333,8 +330,7 @@ TEST(RaceTest, CompletionRingHammer) {
   constexpr int kThreads = 4;
   constexpr size_t kChunk = 64;
   telemetry::MetricsRegistry reg;
-  auto engine = vfs::make_thread_pool_engine(/*queue_depth=*/8, /*workers=*/2,
-                                             vfs::AsyncMetrics(reg));
+  vfs::ThreadPoolEngine engine(/*queue_depth=*/8, vfs::AsyncMetrics(reg));
   StripedTarget target(kThreads * static_cast<size_t>(kRounds) * kChunk);
   std::atomic<size_t> reaped{0};
   {
@@ -356,9 +352,9 @@ TEST(RaceTest, CompletionRingHammer) {
           s.pin = payload;
           s.data = payload.data();
           s.len = kChunk;
-          engine->submit(std::move(s));
+          engine.submit(std::move(s));
           cq.clear();
-          engine->reap(&cq);  // racing reapers: completions must not dup
+          engine.reap(&cq);  // racing reapers: completions must not dup
           for (const vfs::Cqe& c : cq) EXPECT_EQ(c.result, (int64_t)kChunk);
           reaped.fetch_add(cq.size(), std::memory_order_relaxed);
         }
@@ -366,9 +362,9 @@ TEST(RaceTest, CompletionRingHammer) {
     }
     for (auto& th : threads) th.join();
   }
-  engine->drain();
+  engine.drain();
   std::vector<vfs::Cqe> tail;
-  engine->reap(&tail);
+  engine.reap(&tail);
   reaped.fetch_add(tail.size(), std::memory_order_relaxed);
   EXPECT_EQ(reaped.load(), static_cast<size_t>(kThreads) * kRounds);
   EXPECT_EQ(reg.counter("vfs.async.completions").value(),

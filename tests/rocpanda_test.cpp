@@ -411,74 +411,81 @@ TEST(Rocpanda, SelectiveFieldWrite) {
   EXPECT_FALSE(r.has_dataset("fluid/block_000000/field:velocity"));
 }
 
-// --- async vfs backend in the background writer ---------------------------
+// --- the server's async write path --------------------------------------------
 
-TEST(Rocpanda, AsyncIoWriteReadRoundTripOnPosix) {
-  // A POSIX base gives the server's writer a REAL ring engine (uring or
-  // thread pool); the snapshot must still read back bit-identical.
-  const auto root = std::filesystem::temp_directory_path() /
-                    ("rocpio_panda_async_" + std::to_string(::getpid()));
-  {
-    vfs::PosixFileSystem fs(root.string());
-    ServerOptions opts;
-    opts.async_io = true;
-    opts.async.queue_depth = 8;
-    run_deployment(
-        4, 1, fs, opts,
-        [&](comm::Comm&, const Layout&, comm::Comm& clients,
-            RocpandaClient& panda) {
-          Roccom com;
-          auto& w = com.create_window("fluid");
-          auto b1 = make_block(clients.rank() * 2, 6);
-          auto b2 = make_block(clients.rank() * 2 + 1, 5);
-          w.register_pane(b1.id(), &b1);
-          w.register_pane(b2.id(), &b2);
-          const auto crc1 = b1.state_checksum();
-          const auto crc2 = b2.state_checksum();
-          panda.write_attribute(com, IoRequest{"fluid", "all", "art", 2.0});
-          b1.field("pressure").data.assign(b1.field("pressure").data.size(),
-                                           -1.0);
-          b2.coords().assign(b2.coords().size(), -1.0);
-          panda.read_attribute(com, IoRequest{"fluid", "all", "art", 2.0});
-          EXPECT_EQ(b1.state_checksum(), crc1);
-          EXPECT_EQ(b2.state_checksum(), crc2);
-        });
-  }
-  std::filesystem::remove_all(root);
-}
-
-TEST(Rocpanda, AsyncIoStatsPopulatedAndMemBaseStaysDeterministic) {
-  // On a Mem base the backend pins to the sync shim — the run must still
-  // work and the ServerStats async fields must be populated.
-  vfs::MemFileSystem fs;
+/// One client and one server, many small panes: the shape whose small
+/// dataset writes the staging blocks coalesce.  Writes a snapshot with
+/// default server options, restores it byte-exact, and returns the
+/// server's stats.
+ServerStats small_block_snapshot(vfs::FileSystem& fs) {
+  constexpr int kPanes = 24;
+  ServerStats server_stats;
   comm::World::run(2, [&](comm::Comm& world) {
     comm::RealEnv env;
     const Layout layout(world.size(), 1);
     auto local = world.split(layout.is_server(world.rank()) ? 1 : 0,
                              world.rank());
     if (layout.is_server(world.rank())) {
-      ServerOptions opts;
-      opts.async_io = true;
-      const ServerStats st =
-          run_server(world, *local, env, fs, layout, opts);
-      EXPECT_GT(st.async_submissions, 0u);
-      EXPECT_GE(st.async_queue_depth_peak, 1);
+      server_stats =
+          run_server(world, *local, env, fs, layout, ServerOptions{});
       return;
     }
     RocpandaClient client(world, env, layout);
     Roccom com;
-    auto& w = com.create_window("f");
-    auto b = make_block(0, 5);
-    w.register_pane(0, &b);
-    client.write_attribute(com, IoRequest{"f", "all", "amem", 0.0});
+    auto& w = com.create_window("fluid");
+    std::vector<mesh::MeshBlock> blocks;
+    blocks.reserve(kPanes);  // panes are registered by address
+    std::vector<uint64_t> crcs;
+    for (int id = 0; id < kPanes; ++id) {
+      blocks.push_back(make_block(id, 3));
+      w.register_pane(id, &blocks.back());
+      crcs.push_back(blocks.back().state_checksum());
+    }
+    client.write_attribute(com, IoRequest{"fluid", "all", "small", 1.0});
     client.sync();
-    const auto back = client.fetch_blocks("amem", {0});
-    ASSERT_EQ(back.size(), 1u);
-    EXPECT_EQ(back[0].state_checksum(), b.state_checksum());
+    for (auto& b : blocks) {
+      b.field("pressure").data.assign(b.field("pressure").data.size(), -1.0);
+      b.coords().assign(b.coords().size(), -1.0);
+    }
+    client.read_attribute(com, IoRequest{"fluid", "all", "small", 1.0});
+    for (int id = 0; id < kPanes; ++id)
+      EXPECT_EQ(blocks[static_cast<size_t>(id)].state_checksum(),
+                crcs[static_cast<size_t>(id)])
+          << "pane " << id;
     client.shutdown();
   });
+  return server_stats;
 }
 
+std::vector<unsigned char> read_all(vfs::FileSystem& fs,
+                                    const std::string& path) {
+  auto f = fs.open(path, vfs::OpenMode::kRead);
+  std::vector<unsigned char> bytes(f->size());
+  f->read(bytes.data(), bytes.size());
+  return bytes;
+}
+
+TEST(Rocpanda, DefaultServerWritesThroughTheAsyncRing) {
+  // A non-POSIX base keeps its own files: no ring, no submissions.
+  vfs::MemFileSystem mem;
+  EXPECT_EQ(small_block_snapshot(mem).async_submissions, 0u);
+
+  const auto root = std::filesystem::temp_directory_path() /
+                    ("rocpio_panda_async_" + std::to_string(::getpid()));
+  {
+    vfs::PosixFileSystem posix(root.string());
+    const ServerStats st = small_block_snapshot(posix);
+    EXPECT_GT(st.async_submissions, 0u);
+    EXPECT_GT(st.async_coalesced_writes, 0u);
+    // Same snapshot, same bytes, whichever path wrote them.
+    const auto files = posix.list("small");
+    ASSERT_EQ(files, mem.list("small"));
+    ASSERT_FALSE(files.empty());
+    for (const auto& f : files)
+      EXPECT_EQ(read_all(posix, f), read_all(mem, f)) << f;
+  }
+  std::filesystem::remove_all(root);
+}
 
 // --- client-side buffer hierarchy (extension; paper §6.1's "buffer
 // hierarchy on both the clients and servers") ------------------------------

@@ -15,8 +15,10 @@ namespace roc::vfs {
 namespace {
 
 /// Parameterized over every implementation — including the async decorator
-/// in its real-engine and sync-shim configurations: they must all behave
-/// identically through the File/FileSystem contract.
+/// over a POSIX base (the ring, at the default depth and at depth 1, where
+/// every submission waits for the one in flight) and over a Mem base
+/// (pass-through): they must all behave identically through the
+/// File/FileSystem contract.
 class FileSystemTest : public ::testing::TestWithParam<const char*> {
  protected:
   void SetUp() override {
@@ -33,10 +35,7 @@ class FileSystemTest : public ::testing::TestWithParam<const char*> {
       return;
     }
     AsyncOptions opts;
-    if (param == "async-sync") opts.backend = AsyncBackend::kSync;
-    if (param == "async-threads") opts.backend = AsyncBackend::kThreadPool;
-    if (param == "async-uncoalesced") opts.coalesce_bytes = 0;
-    if (param == "async-direct") opts.direct_io = true;
+    if (param == "async-threads") opts.queue_depth = 1;
     fs_ = std::make_unique<AsyncFileSystem>(*base_, opts);
   }
   void TearDown() override {
@@ -142,9 +141,7 @@ TEST_P(FileSystemTest, ZeroByteOperationsAreNoOps) {
 
 INSTANTIATE_TEST_SUITE_P(Backends, FileSystemTest,
                          ::testing::Values("posix", "mem", "async-auto",
-                                           "async-sync", "async-threads",
-                                           "async-uncoalesced", "async-direct",
-                                           "async-mem"));
+                                           "async-threads", "async-mem"));
 
 TEST(MemFileSystem, SharedStoreAcrossCopies) {
   MemFileSystem a;

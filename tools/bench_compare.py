@@ -57,10 +57,8 @@ PAIRS = (
     ("BM_WireMarshalCopy", "BM_WireMarshalChain"),
     ("BM_BlockShipCopy", "BM_BlockShipZeroCopy"),
     ("BM_ServerWriteMaterialize", "BM_ServerWritePassThrough"),
-    # Raw-write band (async vfs backend); the suffix is the queue depth.
+    # Raw-write band (async vfs write path); the suffix is the queue depth.
     ("BM_RawWriteSync", "BM_RawWriteAsync"),
-    ("BM_RawWriteSync", "BM_RawWriteAsyncUncoalesced"),
-    ("BM_RawWriteBulkBuffered", "BM_RawWriteBulkDirect"),
 )
 
 # Emitter-file counterpart of PAIRS: (record name, param, legacy value,

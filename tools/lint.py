@@ -125,8 +125,7 @@ RAW_CLOCK_RE = re.compile(
 )
 
 # The vfs layer is the single sanctioned home of raw write syscalls; tests
-# may open raw descriptors to probe kernel features (O_DIRECT, io_uring)
-# but route actual writes through IoTarget/File implementations.
+# route writes through IoTarget/File implementations.
 RAW_IO_ALLOWLIST_DIRS = (
     os.path.join("src", "vfs") + os.sep,
 )

@@ -599,7 +599,7 @@ def lambda_spans(body):
 
     Lambda bodies get a fresh capability context (like Clang TSA, which
     analyzes them as separate functions): a lambda handed to roc::Thread
-    or AsyncEngine::submit runs later on another thread, so locks held at
+    or ThreadPoolEngine::submit runs later on another thread, so locks held at
     the construction site are NOT held inside it.  The trade-off -- an
     immediately-invoked or synchronous-callback lambda under-approximates
     -- is the same one -Wthread-safety makes."""
@@ -1055,8 +1055,6 @@ def _classify_alloc_call(c):
         return ("materialize", "SharedBuffer::copy_of")
     if c.callee == "adopt":
         return ("make", "SharedBuffer::adopt")
-    if c.callee == "allocate" and c.recv_class == "AlignedBuffer":
-        return ("make", "AlignedBuffer::allocate")
     if c.callee == "gather":
         if "pool" in (c.recv + " " + c.args).lower():
             return None  # gathers into a BufferPool: sanctioned channel

@@ -7,7 +7,7 @@ over-approximate summary by fixpoint over the call graph:
             with a witness chain of call frames;
   block(M)  whether M may reach a curated blocking operation (vfs file
             I/O, Comm send/recv/sendv, CondVar::wait, Gate waits,
-            AsyncEngine::submit backpressure, Thread/Worker join, raw
+            ThreadPoolEngine::submit backpressure, Thread/Worker join, raw
             syscalls), with the chain.
 
 From the summaries it derives the whole-program static lock acquisition
@@ -100,7 +100,7 @@ def root_info(call):
             return "Thread::join", ()
         return "", ()
     if cal == "submit" and ("Engine" in rc or rc == ""):
-        return "AsyncEngine::submit (backpressure)", ()
+        return "ThreadPoolEngine::submit (backpressure)", ()
     if cal in COMM_BLOCKING_METHODS and "Comm" in rc:
         return rc + "::" + cal + " (comm)", ()
     if cal == "sendv" and rc == "":

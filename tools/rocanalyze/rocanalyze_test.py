@@ -278,8 +278,8 @@ class Spine {
         sys.path.remove(HERE)
 
     def test_hot_decl_on_pure_virtual_seeds_overrides(self):
-        # Mirrors AsyncEngine::submit in src/vfs/async.h: the annotation
-        # lives on the interface, the allocation in an override.
+        # The annotation lives on the interface, the allocation in an
+        # override.
         self.assertIn(("UringEngine", "submit"), self.analysis.hot)
 
     def test_cold_annotation_cuts_the_closure(self):

@@ -36,7 +36,7 @@ Interprocedural rules (call graph + lock-set dataflow, see lockset.py):
                     runtime seed sweep ever scheduled.
   r6-blocking-under-lock  A path from a lock-held region to a curated
                     blocking operation (vfs I/O, Comm send/recv/sendv,
-                    CondVar::wait, Gate waits, AsyncEngine::submit
+                    CondVar::wait, Gate waits, ThreadPoolEngine::submit
                     backpressure, Thread::join, raw syscalls), with the
                     full call chain.
   r7-view-suspension  A borrowing view handed to an async submission or
