@@ -164,21 +164,29 @@ MeshBlock MeshBlock::deserialize(const unsigned char* data, size_t n) {
   return b;
 }
 
+void require_coords_fit(const MeshBlock& dst, size_t stored_values) {
+  require(stored_values == dst.coords().size(), "block ", dst.id(),
+          ": stored coordinates do not match the registered pane");
+}
+
+void require_field_fits(const MeshBlock& dst, const Field& g,
+                        size_t stored_values, int stored_ncomp) {
+  require(stored_values == g.data.size() && stored_ncomp == g.ncomp,
+          "block ", dst.id(), ": stored field '", g.name,
+          "' does not match the registered pane");
+}
+
 void copy_block_attribute(const MeshBlock& src, MeshBlock& dst,
                           const std::string& attribute) {
   require(src.id() == dst.id(), "copy_block_attribute: block id mismatch");
   auto copy_mesh = [&] {
-    require(src.coords().size() == dst.coords().size(),
-            "block " + std::to_string(dst.id()) +
-                ": stored coordinates do not match the registered pane");
+    require_coords_fit(dst, src.coords().size());
     dst.coords() = src.coords();
   };
   auto copy_field = [&](const std::string& name) {
     const Field& f = src.field(name);
     Field& g = dst.field(name);
-    require(f.data.size() == g.data.size() && f.ncomp == g.ncomp,
-            "block " + std::to_string(dst.id()) + ": stored field '" + name +
-                "' does not match the registered pane");
+    require_field_fits(dst, g, f.data.size(), f.ncomp);
     g.data = f.data;
   };
   if (attribute == "all") {

@@ -106,6 +106,14 @@ class MeshBlock {
   std::vector<Field> fields_;
 };
 
+/// The checks copy_block_attribute makes before it overwrites a pane's
+/// coordinates (or field `g`) with `stored_values` stored values (of
+/// `stored_ncomp` components); they throw InvalidArgument naming the block.
+/// Shared with Rocpanda's restart, which copies straight from wire bytes.
+void require_coords_fit(const MeshBlock& dst, size_t stored_values);
+void require_field_fits(const MeshBlock& dst, const Field& g,
+                        size_t stored_values, int stored_ncomp);
+
 /// Copies the selected attribute ("all", "mesh", or a field name) from
 /// `src` into `dst`.  Both blocks must agree on structure (sizes are
 /// validated); used when restart data arrives as whole blocks and must be

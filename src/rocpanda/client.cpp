@@ -1,7 +1,7 @@
 #include "rocpanda/client.h"
 
 #include <algorithm>
-#include <map>
+#include <exception>
 
 #include "rocpanda/wire.h"
 #include "telemetry/trace.h"
@@ -28,6 +28,8 @@ RocpandaClient::RocpandaClient(comm::Comm& world, comm::Env& env,
       m_blocks_fetched_(metrics_.counter("client.blocks_fetched")),
       m_bytes_buffered_(metrics_.counter("client.bytes_buffered")),
       m_backpressure_waits_(metrics_.counter("client.backpressure_waits")),
+      m_restore_checksum_failures_(
+          metrics_.counter("client.restore_checksum_failures")),
       m_write_seconds_(metrics_.histogram("client.write_seconds")),
       gate_storage_(env.make_gate()),
       gate_(gate_storage_.get()) {
@@ -226,9 +228,10 @@ ClientStats RocpandaClient::stats() const {
   return s;
 }
 
-std::vector<mesh::MeshBlock> RocpandaClient::fetch_internal(
+void RocpandaClient::restore(
     const std::string& file, const std::string& window,
-    const std::vector<int>& pane_ids) {
+    const std::vector<int>& pane_ids,
+    const std::function<void(const WireBlockView&)>& apply) {
   ROC_TRACE_SPAN_D("client", "restart.fetch", file);
   drain_local();  // reads must follow every locally buffered write
   ReadHeader h;
@@ -242,30 +245,60 @@ std::vector<mesh::MeshBlock> RocpandaClient::fetch_internal(
   auto plan = world_.recv(server_, kTagReadPlan);
   ByteReader pr(plan.payload.data(), plan.payload.size());
   const auto count = pr.get<uint32_t>();
+  // A short plan is known before the first reply: the replies are then
+  // drained for their ids only, and no pane is touched.
+  const bool complete = count == pane_ids.size();
 
-  std::vector<mesh::MeshBlock> blocks;
-  blocks.reserve(count);
+  // Every reply is received even after a failure, so none is left queued
+  // for the next restore; the first failure is rethrown once all are in.
+  std::vector<int> got;
+  std::exception_ptr failure;
   for (uint32_t i = 0; i < count; ++i) {
     auto msg = world_.recv(comm::kAnySource, kTagReadBlock);
-    blocks.push_back(
-        mesh::MeshBlock::deserialize(msg.payload.data(), msg.payload.size()));
+    try {
+      // The view shares the server pool's buffer; it returns to that pool
+      // when the view dies, after apply() has copied what it needs.
+      const WireBlockView v = WireBlockView::parse(std::move(msg.payload));
+      if (!complete) {
+        got.push_back(v.pane_id());
+        continue;
+      }
+      if (failure) continue;
+      if (const auto* bad = v.first_corrupt_section()) {
+        m_restore_checksum_failures_.increment();
+        throw FormatError("restart from '" + file +
+                          "': checksum mismatch in pane " +
+                          std::to_string(v.pane_id()) + ", section '" +
+                          WireBlockView::section_label(*bad) + "'");
+      }
+      apply(v);
+    } catch (const std::exception&) {
+      if (!failure) failure = std::current_exception();
+    }
   }
   m_blocks_fetched_.add(count);
 
-  if (count != pane_ids.size()) {
+  if (!complete) {
     std::string missing;
-    std::map<int, bool> got;
-    for (const auto& b : blocks) got[b.id()] = true;
     // Appended piecewise: `"lit" + std::to_string(...)` trips GCC 12's
     // bogus -Wrestrict at -O3 (PR105651).
     for (int id : pane_ids) {
-      if (got.count(id)) continue;
+      if (std::find(got.begin(), got.end(), id) != got.end()) continue;
       missing += ' ';
       missing += std::to_string(id);
     }
     throw IoError("restart from '" + file + "': blocks not found:" + missing);
   }
+  if (failure) std::rethrow_exception(failure);
+}
 
+std::vector<mesh::MeshBlock> RocpandaClient::fetch_blocks(
+    const std::string& file, const std::vector<int>& pane_ids) {
+  std::vector<mesh::MeshBlock> blocks;
+  blocks.reserve(pane_ids.size());
+  restore(file, /*window=*/"", pane_ids, [&](const WireBlockView& v) {
+    blocks.push_back(v.to_block());
+  });
   std::sort(blocks.begin(), blocks.end(),
             [](const mesh::MeshBlock& a, const mesh::MeshBlock& b) {
               return a.id() < b.id();
@@ -273,21 +306,14 @@ std::vector<mesh::MeshBlock> RocpandaClient::fetch_internal(
   return blocks;
 }
 
-std::vector<mesh::MeshBlock> RocpandaClient::fetch_blocks(
-    const std::string& file, const std::vector<int>& pane_ids) {
-  return fetch_internal(file, /*window=*/"", pane_ids);
-}
-
 void RocpandaClient::read_attribute(Roccom& com, const IoRequest& req) {
   const roccom::Window& w = com.window(req.window);
   std::vector<int> ids;
   for (const Pane* p : w.panes()) ids.push_back(p->id);
-
-  const auto blocks = fetch_internal(req.file, req.window, ids);
-  for (const auto& b : blocks) {
-    const Pane& p = w.pane(b.id());
-    mesh::copy_block_attribute(b, *p.block, req.attribute);
-  }
+  // Each reply is verified and copied into its pane as it arrives.
+  restore(req.file, req.window, ids, [&](const WireBlockView& v) {
+    v.copy_attribute_to(*w.pane(v.pane_id()).block, req.attribute);
+  });
 }
 
 std::vector<int> RocpandaClient::list_panes(const std::string& file) {

@@ -12,9 +12,11 @@
 /// gather every client's block list, scan the snapshot's files round-robin,
 /// and route each block to the client that requested it — which is how
 /// restarting with a different number of servers (or clients) than the
-/// writing run works (paper §4.1).
+/// writing run works (paper §4.1).  Each reply carries the datasets'
+/// stored CRC-64s; the client verifies them before any byte reaches a pane.
 
 #include <deque>
+#include <functional>
 
 #include "util/thread_annotations.h"
 
@@ -25,6 +27,8 @@
 #include "telemetry/metrics.h"
 
 namespace roc::rocpanda {
+
+class WireBlockView;
 
 /// Client-side options.
 struct ClientOptions {
@@ -87,9 +91,14 @@ class RocpandaClient final : public roccom::IoService {
   [[nodiscard]] telemetry::MetricsRegistry& metrics() { return metrics_; }
 
  private:
-  [[nodiscard]] std::vector<mesh::MeshBlock> fetch_internal(
-      const std::string& file, const std::string& window,
-      const std::vector<int>& pane_ids);
+  /// The collective restore behind read_attribute and fetch_blocks: sends
+  /// the request, then receives each reply as it arrives, verifies every
+  /// section's CRC-64 and only then hands the view to `apply`.  Throws
+  /// IoError when blocks are missing (before touching any pane) and
+  /// FormatError on a checksum mismatch, after draining every reply.
+  void restore(const std::string& file, const std::string& window,
+               const std::vector<int>& pane_ids,
+               const std::function<void(const WireBlockView&)>& apply);
 
   /// One buffered collective write (hierarchy mode).  Blocks are pooled
   /// wire-format buffers; ship() enqueues references, so the bytes are
@@ -136,6 +145,7 @@ class RocpandaClient final : public roccom::IoService {
   telemetry::Counter& m_blocks_fetched_;
   telemetry::Counter& m_bytes_buffered_;
   telemetry::Counter& m_backpressure_waits_;
+  telemetry::Counter& m_restore_checksum_failures_;
   telemetry::Histogram& m_write_seconds_;
 
   // --- client-side buffering (hierarchy mode).  gate_ is the capability

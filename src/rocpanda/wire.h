@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "mesh/mesh_block.h"
+#include "shdf/reader.h"
 #include "shdf/writer.h"
 #include "util/buffer.h"
 
@@ -32,7 +33,9 @@ inline constexpr int kTagSyncReq = 104;     ///< client -> server, empty
 inline constexpr int kTagSyncAck = 105;     ///< server -> client, empty
 inline constexpr int kTagReadBegin = 106;   ///< client -> server, ReadHeader
 inline constexpr int kTagReadPlan = 107;    ///< server -> client, u32 count
-inline constexpr int kTagReadBlock = 108;   ///< server -> client, MeshBlock
+/// server -> client: one restored block, a checksummed WireBlock in the
+/// server pool's buffer, shared by reference (see encode_restore_reply).
+inline constexpr int kTagReadBlock = 108;
 inline constexpr int kTagListReq = 109;     ///< client -> server, file name
 inline constexpr int kTagListAck = 110;     ///< server -> client, i32 ids
 inline constexpr int kTagShutdown = 111;    ///< client -> server, empty
@@ -79,11 +82,16 @@ struct ReadHeader {
 /// kind, mesh metadata, and a section table (role, name, centering, ncomp,
 /// element type, count per array) — followed by the raw array payloads
 /// concatenated in table order.  Keeping array bytes raw and contiguous is
-/// what enables the two zero-copy paths:
+/// what enables the zero-copy paths:
 ///  * `serialize_chain` emits a BufferChain whose payload segments alias
-///    the caller's arrays (no marshalling copy on the client), and
+///    the caller's arrays (no marshalling copy on the client),
 ///  * `WireBlockView` parses received bytes in place and streams dataset
-///    payloads straight into shdf::Writer (no MeshBlock on the server).
+///    payloads straight into shdf::Writer (no MeshBlock on the server), and
+///  * on restart, `encode_restore_reply` reads each dataset from its file
+///    straight into its payload slot, and the client copies each verified
+///    slot straight into its pane (WireBlockView::copy_attribute_to).
+/// Restart replies set the kind byte's checksum flag: every section entry
+/// then also carries the dataset's stored CRC-64.
 class WireBlock {
  public:
   /// Extracts the selected attribute from `block` (copies; the legacy
@@ -150,9 +158,22 @@ struct WriteScratch {
 /// Non-materialising view over one received WireBlock.  parse() reads only
 /// the header; write_to() streams the dataset payloads directly from the
 /// retained wire bytes (which the view keeps alive) into the writer —
-/// the server's pass-through mode.
+/// the server's pass-through mode.  On restart the client verifies a
+/// reply's checksums and copies its payloads out of the same view.
 class WireBlockView {
  public:
+  /// One array of the block, located in the wire buffer.
+  struct Section {
+    uint8_t role = 0;  ///< 0 = coords, 1 = connectivity, 2 = field.
+    std::string name;  ///< Field name (empty for geometry sections).
+    mesh::Centering centering = mesh::Centering::kNode;
+    int32_t ncomp = 1;
+    uint64_t count = 0;   ///< Elements (not bytes).
+    uint64_t crc = 0;     ///< Stored CRC-64 (checksummed replies only).
+    uint64_t offset = 0;  ///< Absolute byte offset into the wire buffer.
+    uint64_t bytes = 0;
+  };
+
   /// Parses the header and section table; throws FormatError on malformed
   /// bytes.  The view shares ownership of `wire` (zero-copy).
   static WireBlockView parse(SharedBuffer wire);
@@ -171,24 +192,44 @@ class WireBlockView {
                 shdf::Codec codec = shdf::Codec::kNone,
                 WriteScratch* scratch = nullptr) const;
 
- private:
-  struct Section {
-    uint8_t role = 0;  ///< 0 = coords, 1 = connectivity, 2 = field.
-    std::string name;  ///< Field name (empty for geometry sections).
-    mesh::Centering centering = mesh::Centering::kNode;
-    int32_t ncomp = 1;
-    uint64_t count = 0;   ///< Elements (not bytes).
-    uint64_t offset = 0;  ///< Absolute byte offset into the wire buffer.
-    uint64_t bytes = 0;
-  };
+  /// The first section whose payload does not match its CRC-64, or null
+  /// when all match.  Requires a checksummed (restart) block.
+  [[nodiscard]] const Section* first_corrupt_section() const;
 
+  /// Copies the selected attribute ("all", "mesh" or a field name) straight
+  /// from the wire bytes into `dst`'s arrays, with copy_block_attribute's
+  /// size and ncomp checks and error text.  Call after verification.
+  void copy_attribute_to(mesh::MeshBlock& dst,
+                         const std::string& attribute) const;
+
+  /// A complete MeshBlock built from the sections, one copy per array
+  /// (kind "all" or "mesh" blocks).  Call after verification.
+  [[nodiscard]] mesh::MeshBlock to_block() const;
+
+  /// Dataset-style label of a section ("coords", "connectivity",
+  /// "field:<name>"), for error messages.
+  [[nodiscard]] static std::string section_label(const Section& s);
+
+ private:
   SharedBuffer wire_;
   int pane_id_ = -1;
   uint8_t kind_ = 0;
+  bool checksummed_ = false;
   mesh::MeshKind mesh_kind_ = mesh::MeshKind::kStructured;
   std::array<int, 3> node_dims_{0, 0, 0};
   uint64_t node_count_ = 0;
   std::vector<Section> sections_;
 };
+
+/// Builds the restart reply for pane `pane_id` of `window` in one buffer
+/// from `pool`: a checksummed kind-"all" wire-v2 header whose section table
+/// comes from `r`'s directory (coords, connectivity when present, every
+/// "field:" dataset), then each payload read from the file straight into
+/// its slot (Reader::read_payload_into; kZeroRle decoded there).  The CRCs
+/// are not computed here: each section carries its dataset's stored CRC-64
+/// and the consuming client verifies it.
+[[nodiscard]] SharedBuffer encode_restore_reply(const shdf::Reader& r,
+                                                const std::string& window,
+                                                int pane_id, BufferPool& pool);
 
 }  // namespace roc::rocpanda

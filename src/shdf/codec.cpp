@@ -72,33 +72,41 @@ ROC_COLD std::vector<unsigned char> encode(Codec c, const void* data,
 
 std::vector<unsigned char> decode(Codec c, const unsigned char* data,
                                   size_t n, uint64_t expected_bytes) {
+  if (c == Codec::kNone && n != expected_bytes)
+    throw FormatError("uncompressed payload size mismatch");
+  std::vector<unsigned char> out(static_cast<size_t>(expected_bytes));
+  decode_into(c, data, n, out.data(), expected_bytes);
+  return out;
+}
+
+void decode_into(Codec c, const unsigned char* data, size_t n,
+                 unsigned char* out, uint64_t expected_bytes) {
   if (c == Codec::kNone) {
     if (n != expected_bytes)
       throw FormatError("uncompressed payload size mismatch");
-    return {data, data + n};
+    // memcpy's arguments are declared nonnull even for zero sizes.
+    if (n > 0) std::memcpy(out, data, n);
+    return;
   }
 
-  std::vector<unsigned char> out;
-  out.reserve(static_cast<size_t>(expected_bytes));
+  uint64_t produced = 0;
   ByteReader r(data, n);
   while (!r.at_end()) {
     const auto tok = r.get<uint8_t>();
     const auto count = r.get<uint32_t>();
-    if (out.size() + count > expected_bytes)
+    if (produced + count > expected_bytes)
       throw FormatError("codec stream produces more bytes than declared");
     if (tok == kTokZeros) {
-      out.resize(out.size() + count, 0);
+      if (count > 0) std::memset(out + produced, 0, count);
     } else if (tok == kTokLiteral) {
-      const size_t at = out.size();
-      out.resize(at + count);
-      r.get_bytes(out.data() + at, count);
+      r.get_bytes(out + produced, count);
     } else {
       throw FormatError("unknown codec token");
     }
+    produced += count;
   }
-  if (out.size() != expected_bytes)
+  if (produced != expected_bytes)
     throw FormatError("codec stream produces fewer bytes than declared");
-  return out;
 }
 
 }  // namespace roc::shdf

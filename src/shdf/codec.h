@@ -37,4 +37,9 @@ enum class Codec : uint8_t {
                                                 size_t n,
                                                 uint64_t expected_bytes);
 
+/// decode() into caller storage: `out` has room for exactly
+/// `expected_bytes`, and the same streams are rejected.
+void decode_into(Codec c, const unsigned char* data, size_t n,
+                 unsigned char* out, uint64_t expected_bytes);
+
 }  // namespace roc::shdf

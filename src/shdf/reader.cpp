@@ -113,25 +113,47 @@ const DatasetInfo& Reader::info(size_t index) const {
 
 std::vector<unsigned char> Reader::read_raw(const std::string& name) const {
   const DatasetInfo& i = info(name);
+  check_extent(i);
+  std::vector<unsigned char> data(static_cast<size_t>(i.data_bytes));
+  read_into(i, data.data());
+  return data;
+}
+
+void Reader::check_extent(const DatasetInfo& i) const {
   const uint64_t fsize = file_->size();
   if (i.data_offset > fsize || i.stored_bytes > fsize - i.data_offset)
-    throw FormatError("dataset '" + name + "' extends past end of " + path_);
-  std::vector<unsigned char> raw(static_cast<size_t>(i.stored_bytes));
+    throw FormatError("dataset '" + i.def.name + "' extends past end of " +
+                      path_);
+  if (i.def.codec == Codec::kNone && i.stored_bytes != i.data_bytes)
+    throw FormatError("uncompressed payload size mismatch");
+}
+
+void Reader::read_payload_into(const DatasetInfo& i, void* out) const {
+  check_extent(i);
   file_->seek(i.data_offset);
-  file_->read(raw.data(), raw.size());
-  auto data = decode(i.def.codec, raw.data(), raw.size(), i.data_bytes);
-  if (crc64(data.data(), data.size()) != i.checksum)
-    throw FormatError("checksum mismatch reading dataset '" + name +
+  if (i.def.codec == Codec::kNone) {
+    // Zero-element datasets are legal; reads of nothing are no-ops.
+    file_->read(out, static_cast<size_t>(i.stored_bytes));
+    return;
+  }
+  std::vector<unsigned char> stored(static_cast<size_t>(i.stored_bytes));
+  file_->read(stored.data(), stored.size());
+  decode_into(i.def.codec, stored.data(), stored.size(),
+              static_cast<unsigned char*>(out), i.data_bytes);
+}
+
+void Reader::read_into(const DatasetInfo& i, void* out) const {
+  read_payload_into(i, out);
+  if (crc64(out, static_cast<size_t>(i.data_bytes)) != i.checksum)
+    throw FormatError("checksum mismatch reading dataset '" + i.def.name +
                       "' from " + path_);
-  return data;
 }
 
 std::optional<AttrValue> Reader::attribute(const std::string& dataset,
                                            const std::string& attr) const {
-  const DatasetInfo& i = info(dataset);
-  for (const auto& a : i.def.attributes)
-    if (a.name == attr) return a.value;
-  return std::nullopt;
+  const AttrValue* v = info(dataset).def.find_attribute(attr);
+  if (!v) return std::nullopt;
+  return *v;
 }
 
 }  // namespace roc::shdf

@@ -49,13 +49,29 @@ class Reader {
       throw FormatError("dataset '" + name + "' has element type " +
                         std::string(type_name(i.def.type)) + ", not " +
                         std::string(type_name(TypeTag<T>::value)));
-    auto raw = read_raw(name);
-    std::vector<T> out(raw.size() / sizeof(T));
-    // Zero-element datasets are legal; memcpy's arguments are declared
-    // nonnull even for zero sizes.
-    if (!out.empty()) std::memcpy(out.data(), raw.data(), raw.size());
+    check_extent(i);
+    std::vector<T> out(static_cast<size_t>(i.data_bytes / sizeof(T)));
+    read_into(i, out.data());
     return out;
   }
+
+  /// Throws FormatError unless `i`'s stored payload lies inside the file
+  /// and, uncompressed, has its declared size.  Call before sizing storage
+  /// from `i.data_bytes`, so a corrupted header fails cleanly, not by OOM.
+  void check_extent(const DatasetInfo& i) const;
+
+  /// The one read pass every typed and raw read goes through: the payload
+  /// of `i` (an info() of this reader) lands in `out`, which has room for
+  /// exactly `i.data_bytes`.  kNone payloads are read from the file
+  /// straight into `out`; kZeroRle payloads are decoded into it.  The
+  /// extent and codec framing are validated, but the CRC-64 is NOT checked:
+  /// the caller checks `out` against `i.checksum` (read_into does it in
+  /// place; Rocpanda's restart ships the stored CRC to the client that
+  /// consumes the bytes).
+  void read_payload_into(const DatasetInfo& i, void* out) const;
+
+  /// read_payload_into plus the CRC-64 check of the bytes in `out`.
+  void read_into(const DatasetInfo& i, void* out) const;
 
   /// Attribute lookup on a dataset; nullopt if the attribute is absent.
   [[nodiscard]] std::optional<AttrValue> attribute(

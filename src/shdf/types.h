@@ -87,6 +87,12 @@ struct DatasetDef {
   [[nodiscard]] uint64_t byte_count() const {
     return element_count() * type_size(type);
   }
+  /// The value of attribute `attr`, or null if the dataset has none.
+  [[nodiscard]] const AttrValue* find_attribute(const std::string& attr) const {
+    for (const auto& a : attributes)
+      if (a.name == attr) return &a.value;
+    return nullptr;
+  }
 };
 
 /// What the reader reports about a stored dataset.

@@ -6,12 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
 #include <set>
 
 #include "comm/thread_comm.h"
 #include "mesh/generators.h"
 #include "roccom/blockio.h"
+#include "rochdf/rochdf.h"
 #include "rocpanda/client.h"
 #include "rocpanda/server.h"
 #include "rocpanda/wire.h"
@@ -129,6 +131,205 @@ INSTANTIATE_TEST_SUITE_P(Shapes, DeploymentSweep,
                                            std::pair{3, 2}, std::pair{5, 2},
                                            std::pair{8, 1}, std::pair{8, 4},
                                            std::pair{9, 3}));
+
+// --- N->M restart: byte-exact over random deployments ------------------------
+
+/// Structured or unstructured block (possibly without elements, so its
+/// element-centred field is empty) with three fields: arbitrary bit
+/// patterns, half-zero values, and all zeros (the zero-RLE codec's cases).
+mesh::MeshBlock random_restart_block(int id, Rng& rng) {
+  mesh::MeshBlock b;
+  if (rng.next_below(2) == 0) {
+    b = mesh::MeshBlock::structured(
+        id, {static_cast<int>(rng.next_range(2, 5)),
+             static_cast<int>(rng.next_range(2, 5)),
+             static_cast<int>(rng.next_range(2, 5))});
+  } else {
+    const auto nodes = static_cast<size_t>(rng.next_range(4, 24));
+    std::vector<int32_t> conn(4 * static_cast<size_t>(rng.next_range(0, 6)));
+    for (auto& v : conn) v = static_cast<int32_t>(rng.next_below(nodes));
+    b = mesh::MeshBlock::unstructured(id, nodes, std::move(conn));
+  }
+  for (auto& x : b.coords()) x = rng.next_double();
+  for (auto& x : b.add_field("velocity", mesh::Centering::kNode, 3).data) {
+    const uint64_t bits = rng.next_u64();
+    std::memcpy(&x, &bits, sizeof(x));
+  }
+  for (auto& x : b.add_field("pressure", mesh::Centering::kElement, 1).data)
+    x = rng.next_below(2) ? 0.0 : rng.next_double();
+  (void)b.add_field("zeros", mesh::Centering::kNode, 1);
+  return b;
+}
+
+template <typename T>
+bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+/// Fills every coordinate and field value with one byte pattern, so a
+/// restore that skips (or half-writes) an array shows.
+void clobber(mesh::MeshBlock& b) {
+  auto fill = [](std::vector<double>& v) {
+    if (!v.empty()) std::memset(v.data(), 0xAB, v.size() * sizeof(double));
+  };
+  fill(b.coords());
+  for (auto& f : b.fields()) fill(f.data);
+}
+
+class RestartProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(RestartProperty, NToMRestoreIsByteExact) {
+  // The seed fixes the whole scenario: who wrote the files (N Rocpanda
+  // servers or Rochdf ranks), the directory engine and codec, the block
+  // set and both decompositions, M reader servers, and what is restored.
+  Rng rng(static_cast<uint64_t>(GetParam()) * 0x9E3779B97F4A7C15ULL);
+  const bool rochdf_written = rng.next_below(3) == 0;
+  const int wclients = static_cast<int>(rng.next_range(1, 4));
+  const int wservers =
+      static_cast<int>(rng.next_range(1, std::min(3, wclients)));
+  const int rclients = static_cast<int>(rng.next_range(1, 4));
+  const int rservers =
+      static_cast<int>(rng.next_range(1, std::min(3, rclients)));
+  const auto directory = rng.next_below(2) ? shdf::DirectoryKind::kLinear
+                                           : shdf::DirectoryKind::kIndexed;
+  const auto codec =
+      rng.next_below(2) ? shdf::Codec::kZeroRle : shdf::Codec::kNone;
+  const std::string attribute =
+      std::vector<std::string>{"all", "mesh", "velocity", "pressure",
+                               "zeros"}[rng.next_below(5)];
+  const bool fetch = rng.next_below(4) == 0;  // fetch_blocks, not panes
+  std::vector<mesh::MeshBlock> source;
+  std::vector<int> writer_of, reader_of;
+  const int nblocks = static_cast<int>(rng.next_range(1, 8));
+  for (int i = 0; i < nblocks; ++i) {
+    source.push_back(random_restart_block(
+        3 * i + static_cast<int>(rng.next_below(3)), rng));
+    writer_of.push_back(static_cast<int>(rng.next_below(wclients)));
+    reader_of.push_back(static_cast<int>(rng.next_below(rclients)));
+  }
+  SCOPED_TRACE(::testing::Message()
+               << (rochdf_written ? "Rochdf" : "Rocpanda") << " " << wclients
+               << "+" << wservers << " -> Rocpanda " << rclients << "+"
+               << rservers << ", " << nblocks << " blocks, attribute "
+               << attribute << (fetch ? " (fetch_blocks)" : "")
+               << ", codec " << shdf::codec_name(codec));
+
+  // Copies of the blocks client `me` owns under `owner_of`, registered in
+  // window "w" (the vector is sized up front: panes register by address).
+  auto own = [&](const std::vector<int>& owner_of, int me) {
+    std::vector<mesh::MeshBlock> mine;
+    for (size_t i = 0; i < source.size(); ++i)
+      if (owner_of[i] == me) mine.push_back(source[i]);
+    return mine;
+  };
+  auto register_all = [](roccom::Roccom& com,
+                         std::vector<mesh::MeshBlock>& blocks) {
+    auto& w = com.create_window("w");
+    for (auto& b : blocks) w.register_pane(b.id(), &b);
+  };
+
+  vfs::MemFileSystem fs;
+  if (rochdf_written) {
+    comm::World::run(wclients, [&](comm::Comm& world) {
+      comm::RealEnv env;
+      rochdf::Options o;
+      o.directory = directory;
+      o.codec = codec;
+      rochdf::Rochdf io(world, env, fs, o);
+      roccom::Roccom com;
+      auto mine = own(writer_of, world.rank());
+      register_all(com, mine);
+      io.write_attribute(com, roccom::IoRequest{"w", "all", "snap", 0.5});
+      io.sync();
+    });
+  } else {
+    comm::World::run(wclients + wservers, [&](comm::Comm& world) {
+      comm::RealEnv env;
+      const rocpanda::Layout layout(world.size(), wservers);
+      auto local = world.split(layout.is_server(world.rank()) ? 1 : 0,
+                               world.rank());
+      if (layout.is_server(world.rank())) {
+        rocpanda::ServerOptions so;
+        so.directory = directory;
+        so.codec = codec;
+        (void)rocpanda::run_server(world, *local, env, fs, layout, so);
+        return;
+      }
+      rocpanda::RocpandaClient client(world, env, layout);
+      roccom::Roccom com;
+      auto mine = own(writer_of, local->rank());
+      register_all(com, mine);
+      client.write_attribute(com,
+                             roccom::IoRequest{"w", "all", "snap", 0.5});
+      client.sync();
+      client.shutdown();
+    });
+  }
+
+  comm::World::run(rclients + rservers, [&](comm::Comm& world) {
+    comm::RealEnv env;
+    const rocpanda::Layout layout(world.size(), rservers);
+    auto local = world.split(layout.is_server(world.rank()) ? 1 : 0,
+                             world.rank());
+    if (layout.is_server(world.rank())) {
+      (void)rocpanda::run_server(world, *local, env, fs, layout,
+                                 rocpanda::ServerOptions{});
+      return;
+    }
+    rocpanda::RocpandaClient client(world, env, layout);
+    const auto expect = own(reader_of, local->rank());
+    if (fetch) {
+      std::vector<int> ids;
+      for (const auto& b : expect) ids.push_back(b.id());
+      const auto got = client.fetch_blocks("snap", ids);
+      ASSERT_EQ(got.size(), expect.size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        const mesh::MeshBlock& g = got[i];
+        const mesh::MeshBlock& e = expect[i];
+        EXPECT_EQ(g.id(), e.id());
+        EXPECT_EQ(g.kind(), e.kind());
+        EXPECT_EQ(g.node_dims(), e.node_dims());
+        EXPECT_TRUE(same_bytes(g.coords(), e.coords())) << "pane " << e.id();
+        EXPECT_TRUE(same_bytes(g.connectivity(), e.connectivity()))
+            << "pane " << e.id();
+        ASSERT_EQ(g.fields().size(), e.fields().size());
+        for (const auto& f : e.fields()) {
+          const mesh::Field* h = g.find_field(f.name);
+          ASSERT_NE(h, nullptr) << f.name;
+          EXPECT_EQ(h->centering, f.centering);
+          EXPECT_EQ(h->ncomp, f.ncomp);
+          EXPECT_TRUE(same_bytes(h->data, f.data))
+              << "pane " << e.id() << " field " << f.name;
+        }
+      }
+    } else {
+      roccom::Roccom com;
+      auto mine = expect;
+      for (auto& b : mine) clobber(b);
+      const auto untouched = mine;
+      register_all(com, mine);
+      client.read_attribute(com,
+                            roccom::IoRequest{"w", attribute, "snap", 0.5});
+      const bool geometry = attribute == "all" || attribute == "mesh";
+      for (size_t i = 0; i < mine.size(); ++i) {
+        const auto& from = geometry ? expect[i] : untouched[i];
+        EXPECT_TRUE(same_bytes(mine[i].coords(), from.coords()))
+            << "pane " << mine[i].id() << " coords";
+        for (const auto& f : mine[i].fields()) {
+          const bool restored = attribute == "all" || attribute == f.name;
+          const auto& src = restored ? expect[i] : untouched[i];
+          EXPECT_TRUE(same_bytes(f.data, src.field(f.name).data))
+              << "pane " << mine[i].id() << " field " << f.name;
+        }
+      }
+    }
+    client.shutdown();
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RestartProperty, ::testing::Range(1, 33));
 
 // --- server buffer capacity sweep ---------------------------------------------
 

@@ -275,6 +275,87 @@ TEST(Rocpanda, MissingBlockOnRestartThrows) {
                  });
 }
 
+/// Flips one byte of dataset `name`'s payload in `path`.
+void flip_payload_byte(vfs::FileSystem& fs, const std::string& path,
+                       const std::string& name) {
+  uint64_t at = 0;
+  {
+    shdf::Reader r(fs, path);
+    const shdf::DatasetInfo& i = r.info(name);
+    ASSERT_GT(i.data_bytes, 16u);
+    at = i.data_offset + 16;
+  }
+  auto f = fs.open(path, vfs::OpenMode::kReadWrite);
+  unsigned char byte = 0;
+  f->seek(at);
+  f->read(&byte, 1);
+  byte ^= 0x5A;
+  f->seek(at);
+  f->write(&byte, 1);
+  f->flush();
+}
+
+TEST(Rocpanda, CorruptRestartFailsTheOwningClientOnly) {
+  // A flipped payload byte is caught by the client that owns the pane: its
+  // read_attribute throws a FormatError naming the pane and section, the
+  // other client restores byte-exact, and the server and every client
+  // shut down normally.
+  vfs::MemFileSystem fs;
+  run_deployment(2, 1, fs, ServerOptions{},
+                 [&](comm::Comm&, const Layout&, comm::Comm& clients,
+                     RocpandaClient& panda) {
+                   Roccom com;
+                   auto& w = com.create_window("fluid");
+                   auto b = make_block(clients.rank());
+                   w.register_pane(b.id(), &b);
+                   panda.write_attribute(
+                       com, IoRequest{"fluid", "all", "corrupt", 0.0});
+                   panda.sync();
+                 });
+  flip_payload_byte(fs, "corrupt_s0000.shdf",
+                    "fluid/block_000001/field:pressure");
+
+  run_deployment(
+      2, 1, fs, ServerOptions{},
+      [&](comm::Comm&, const Layout&, comm::Comm& clients,
+          RocpandaClient& panda) {
+        const int id = clients.rank();
+        Roccom com;
+        auto& w = com.create_window("fluid");
+        auto b = make_block(id);
+        const mesh::MeshBlock source = b;
+        b.coords().assign(b.coords().size(), -1.0);
+        for (auto& f : b.fields()) f.data.assign(f.data.size(), -1.0);
+        w.register_pane(id, &b);
+        auto& failures =
+            panda.metrics().counter("client.restore_checksum_failures");
+        if (id == 1) {
+          try {
+            panda.read_attribute(com,
+                                 IoRequest{"fluid", "all", "corrupt", 0.0});
+            ADD_FAILURE() << "corrupt pane restored without an error";
+          } catch (const FormatError& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("'corrupt'"), std::string::npos) << what;
+            EXPECT_NE(what.find("pane 1"), std::string::npos) << what;
+            EXPECT_NE(what.find("field:pressure"), std::string::npos)
+                << what;
+          }
+          EXPECT_EQ(failures.value(), 1u);
+          // No byte of the corrupt reply reached the pane.
+          for (double x : b.field("pressure").data) ASSERT_EQ(x, -1.0);
+          for (double x : b.coords()) ASSERT_EQ(x, -1.0);
+        } else {
+          panda.read_attribute(com,
+                               IoRequest{"fluid", "all", "corrupt", 0.0});
+          EXPECT_EQ(failures.value(), 0u);
+          EXPECT_EQ(b.coords(), source.coords());
+          for (const auto& f : source.fields())
+            EXPECT_EQ(b.field(f.name).data, f.data) << f.name;
+        }
+      });
+}
+
 TEST(Rocpanda, ActiveBufferingOverflowSpillsWithoutDataLoss) {
   vfs::MemFileSystem fs;
   ServerOptions opts;

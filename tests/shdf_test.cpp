@@ -231,6 +231,11 @@ TEST(Codec, ZeroRleRoundTripShapes) {
     const auto dec =
         decode(Codec::kZeroRle, enc.data(), enc.size(), data.size());
     EXPECT_EQ(dec, data);
+    // decode_into must overwrite every byte of dirty caller storage.
+    std::vector<unsigned char> into(data.size(), 0xFF);
+    decode_into(Codec::kZeroRle, enc.data(), enc.size(), into.data(),
+                into.size());
+    EXPECT_EQ(into, data);
   }
 }
 
