@@ -2,8 +2,7 @@
 /// \brief Seed-sweep driver for the concurrency checker.
 ///
 ///   roccheck --scenario NAME --seeds N [--seed BASE] [--out DIR]
-///            [--expect-race] [--preempt P] [--lock-graph-out PATH]
-///            [--alloc-report-out PATH]
+///            [--expect-race] [--preempt P] [--alloc-report-out PATH]
 ///
 /// Runs NAME under seeds BASE..BASE+N-1, one fresh Session + Explorer per
 /// seed.  Any finding (or scenario failure) prints the seed that produced
@@ -18,11 +17,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <map>
-#include <memory>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "check/alloc_hook.h"
 #include "check/checker.h"
@@ -36,41 +31,15 @@ struct Args {
   uint64_t seeds = 1;
   uint64_t base_seed = 1;
   std::string out_dir;
-  std::string lock_graph_out;
   std::string alloc_report_out;
   bool expect_race = false;
   double preempt = 0.125;
 };
 
-/// Lock-order edges merged across every seed of the sweep, keyed by
-/// runtime lock names (first witness stack wins).  Written as the
-/// runtime-lock-order-graph JSON that the rocanalyze subset check
-/// (tools/check_lock_subset.py) compares against the static graph.
-std::map<std::pair<std::string, std::string>,
-         std::vector<std::string>> g_merged_edges;
-
-void merge_edges(const roc::check::Session& session) {
-  for (auto& e : session.lock_order_edges())
-    g_merged_edges.try_emplace({e.from, e.to}, std::move(e.stack));
-}
-
-bool write_merged_graph(const std::string& path) {
-  std::vector<roc::check::LockOrderEdge> edges;
-  edges.reserve(g_merged_edges.size());
-  for (const auto& [key, stack] : g_merged_edges)
-    edges.push_back(roc::check::LockOrderEdge{key.first, key.second, stack});
-  std::string doc;
-  roc::check::write_lock_order_json(edges, &doc);
-  std::ofstream f(path);
-  f << doc;
-  return static_cast<bool>(f);
-}
-
 [[noreturn]] void usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " --scenario NAME --seeds N [--seed BASE] [--out DIR]"
-               " [--expect-race] [--preempt P] [--lock-graph-out PATH]"
-               " [--alloc-report-out PATH]"
+               " [--expect-race] [--preempt P] [--alloc-report-out PATH]"
                "\n  scenarios:";
   for (const auto& n : roc::check::scenario_names()) std::cerr << " " << n;
   std::cerr << "\n";
@@ -93,8 +62,6 @@ Args parse(int argc, char** argv) {
       a.base_seed = std::strtoull(value().c_str(), nullptr, 10);
     } else if (arg == "--out") {
       a.out_dir = value();
-    } else if (arg == "--lock-graph-out") {
-      a.lock_graph_out = value();
     } else if (arg == "--alloc-report-out") {
       a.alloc_report_out = value();
     } else if (arg == "--expect-race") {
@@ -113,8 +80,6 @@ struct RunOutput {
   std::string error;
   std::string report;
   std::string trace;
-  bool found_race = false;
-  bool found_cycle = false;
 };
 
 RunOutput run_one(const Args& a, uint64_t seed) {
@@ -126,13 +91,7 @@ RunOutput run_one(const Args& a, uint64_t seed) {
   RunOutput out;
   out.error = roc::check::run_scenario(a.scenario, session, explorer).error;
   out.report = session.report();
-  if (!a.lock_graph_out.empty()) merge_edges(session);
   out.trace = explorer.trace_json();
-  for (const auto& f : session.findings()) {
-    if (f.kind == roc::check::Finding::Kind::kRace) out.found_race = true;
-    if (f.kind == roc::check::Finding::Kind::kLockCycle)
-      out.found_cycle = true;
-  }
   return out;
 }
 
@@ -147,19 +106,10 @@ void dump(const Args& a, uint64_t seed, const RunOutput& out) {
 
 }  // namespace
 
-/// Flushes the merged runtime graph and the interposer's alloc-scope
-/// registry (when requested).  Called on every main() exit path so
-/// partial sweeps still leave inspectable artifacts.
+/// Flushes the interposer's alloc-scope registry (when requested).
+/// Called on every main() exit path so partial sweeps still leave
+/// inspectable artifacts.
 int finish(const Args& a, int rc) {
-  if (!a.lock_graph_out.empty()) {
-    if (!write_merged_graph(a.lock_graph_out)) {
-      std::cerr << "roccheck: cannot write " << a.lock_graph_out << "\n";
-      return rc == 0 ? 2 : rc;
-    }
-    std::cout << "roccheck: runtime lock-order graph ("
-              << g_merged_edges.size() << " edges) written to "
-              << a.lock_graph_out << "\n";
-  }
   if (!a.alloc_report_out.empty()) {
     if (!roc::check::write_alloc_report(a.alloc_report_out)) {
       std::cerr << "roccheck: cannot write " << a.alloc_report_out << "\n";
@@ -207,7 +157,7 @@ int main(int argc, char** argv) {
       return finish(a, 1);
     }
 
-    if (findings && a.expect_race && out.found_race) {
+    if (findings && a.expect_race) {
       // The fixture tripped, as it must.  Replay the seed to prove the
       // schedule (and therefore the finding) is deterministic.
       const RunOutput replay = run_one(a, seed);

@@ -12,7 +12,6 @@
 
 #include <functional>
 #include <memory>
-#include <source_location>
 
 #include "util/check_hooks.h"
 #include "util/thread_annotations.h"
@@ -42,18 +41,15 @@ class ROC_CAPABILITY("gate") Gate {
  public:
   virtual ~Gate() { ROC_CHECKHOOK_(lock_destroy(this)); }
 
-  /// Names the gate for the checker's lock-order graph and for rocanalyze
-  /// (whose static graph nodes carry the same runtime names).  `name` must
-  /// outlive the gate; call once, right after construction.
-  void set_name(const char* name) { name_ = name; }
-  [[nodiscard]] const char* name() const { return name_; }
+  /// Names the gate's node in rocanalyze's static lock-order graph: R5
+  /// reads the string literal at this call, so it is not stored.  Call
+  /// once, right after construction.
+  void set_name(const char* /*name*/) {}
 
-  void lock(std::source_location loc = std::source_location::current())
-      ROC_ACQUIRE() ROC_NO_THREAD_SAFETY_ANALYSIS {
+  void lock() ROC_ACQUIRE() ROC_NO_THREAD_SAFETY_ANALYSIS {
     ROC_CHECK_PREEMPT("gate.lock");
     do_lock();
-    ROC_CHECKHOOK_(lock_acquire(this, name_, loc.file_name(), loc.line()));
-    (void)loc;
+    ROC_CHECKHOOK_(lock_acquire(this));
   }
 
   void unlock() ROC_RELEASE() ROC_NO_THREAD_SAFETY_ANALYSIS {
@@ -63,12 +59,10 @@ class ROC_CAPABILITY("gate") Gate {
 
   /// Atomically releases the lock, waits for a notify, re-acquires.  The
   /// gate is held on entry and held again on return.
-  void wait(std::source_location loc = std::source_location::current())
-      ROC_REQUIRES(this) ROC_NO_THREAD_SAFETY_ANALYSIS {
+  void wait() ROC_REQUIRES(this) ROC_NO_THREAD_SAFETY_ANALYSIS {
     ROC_CHECKHOOK_(wait_begin(this));
     do_wait();
-    ROC_CHECKHOOK_(wait_end(this, name_, loc.file_name(), loc.line()));
-    (void)loc;
+    ROC_CHECKHOOK_(wait_end(this));
   }
 
   /// May be called with or without the lock held.
@@ -79,9 +73,6 @@ class ROC_CAPABILITY("gate") Gate {
   virtual void do_unlock() = 0;
   virtual void do_wait() = 0;
   virtual void do_notify_all() = 0;
-
- private:
-  const char* name_ = "gate";
 };
 
 /// RAII lock for a Gate.

@@ -256,6 +256,16 @@ void RocpandaClient::restore(
   for (uint32_t i = 0; i < count; ++i) {
     auto msg = world_.recv(comm::kAnySource, kTagReadBlock);
     try {
+      RestoreError err;
+      if (RestoreError::parse(msg.payload, &err)) {
+        if (!complete) {
+          got.push_back(err.pane_id);
+          continue;
+        }
+        throw FormatError("restart from '" + file + "': pane " +
+                          std::to_string(err.pane_id) + " unreadable: " +
+                          err.message);
+      }
       // The view shares the server pool's buffer; it returns to that pool
       // when the view dies, after apply() has copied what it needs.
       const WireBlockView v = WireBlockView::parse(std::move(msg.payload));

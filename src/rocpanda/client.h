@@ -94,8 +94,9 @@ class RocpandaClient final : public roccom::IoService {
   /// The collective restore behind read_attribute and fetch_blocks: sends
   /// the request, then receives each reply as it arrives, verifies every
   /// section's CRC-64 and only then hands the view to `apply`.  Throws
-  /// IoError when blocks are missing (before touching any pane) and
-  /// FormatError on a checksum mismatch, after draining every reply.
+  /// IoError when blocks are missing (before touching any pane), and
+  /// FormatError on a checksum mismatch or a block the server could not
+  /// read (its RestoreError reply), after draining every reply.
   void restore(const std::string& file, const std::string& window,
                const std::vector<int>& pane_ids,
                const std::function<void(const WireBlockView&)>& apply);

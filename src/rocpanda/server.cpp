@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <deque>
-#include <optional>
 #include <map>
 #include <set>
 
@@ -37,6 +36,10 @@ namespace {
 /// (same clock domain as telemetry::now()).
 constexpr double kWriterDeadlineSeconds = 30.0;
 
+/// CPU burnt per non-blocking probe by the polling ablation
+/// (ServerOptions::blocking_probe_when_idle = false).
+constexpr double kIdlePollSeconds = 100e-6;
+
 /// Request-wide metadata, built once per WriteBegin and shared by reference
 /// by every block of the request: the per-block receive path stays free of
 /// string copies (rocanalyze R8, hot-path allocation discipline).
@@ -51,10 +54,12 @@ struct RequestMeta {
 /// One buffered (not yet written) block.
 struct BufferedItem {
   std::shared_ptr<const RequestMeta> meta;  ///< Shared, not copied.
-  SharedBuffer wire_bytes;  ///< Serialized WireBlock, as received.
-  /// Parsed header view over wire_bytes (pass-through mode only); its
-  /// payloads are written without reconstructing a MeshBlock.
-  std::optional<WireBlockView> view;
+  /// Parsed header view over the received wire bytes; its payloads are
+  /// written without reconstructing a MeshBlock.  Unlike a borrowing
+  /// view it is safe to store: WireBlockView::parse shares ownership of
+  /// the bytes.
+  // ROCANALYZE-ALLOW(r1-stored-view): why: the view co-owns its wire bytes.
+  WireBlockView view;  // LINT-ALLOW(view-member): co-owns its wire bytes
 };
 
 /// Per-client state of an in-progress write request.
@@ -160,7 +165,7 @@ class Server {
             st = world_.probe(comm::kAnySource, comm::kAnyTag);
           } else {
             while (!world_.iprobe(comm::kAnySource, comm::kAnyTag, &st))
-              env_.compute(opts_.idle_poll_interval);
+              env_.compute(kIdlePollSeconds);
           }
         }
         if (handle_message(st)) --shutdowns_remaining;
@@ -223,11 +228,9 @@ class Server {
 
         BufferedItem item;
         item.meta = ctx.meta;  // shared reference, no string copies
-        item.wire_bytes = std::move(msg.payload);
-        // Parse the header up front: malformed blocks fail at receive time
-        // in both modes, and the view is what write_item streams from.
-        if (opts_.pass_through)
-          item.view = WireBlockView::parse(item.wire_bytes);
+        // Parse the header up front: malformed blocks fail at receive
+        // time, and the view is what write_item streams from.
+        item.view = WireBlockView::parse(std::move(msg.payload));
 
         if (opts_.active_buffering) {
           buffer_item(std::move(item));
@@ -281,7 +284,7 @@ class Server {
     // lets the checker prove that stays true across schedules.
     ROC_CHECK_SHARED_WRITE(&buffer_, "server.buffer");
     ROC_TRACE_SPAN_D("server", "buffer", item.meta->header.file);
-    const uint64_t bytes = item.wire_bytes.size();
+    const uint64_t bytes = item.view.wire_bytes().size();
     // Graceful overflow: write the oldest buffered blocks until the new
     // one fits (paper §6.1).
     while (buffered_bytes_ + bytes > opts_.buffer_capacity &&
@@ -308,7 +311,7 @@ class Server {
     ROC_CHECK_SHARED_WRITE(&buffer_, "server.buffer");
     BufferedItem item = std::move(buffer_.front());
     buffer_.pop_front();
-    buffered_bytes_ -= item.wire_bytes.size();
+    buffered_bytes_ -= item.view.wire_bytes().size();
     write_item(item);
   }
 
@@ -364,20 +367,11 @@ class Server {
                               kWriterDeadlineSeconds);
     const double t0 = telemetry::now();
     ensure_writer(meta.path);
-    if (item.view) {
-      // Pass-through: dataset payloads stream from the retained wire
-      // bytes; no MeshBlock, no re-marshalling.  The server-retained
-      // scratch makes steady-state writes allocation-free.
-      item.view->write_to(*writer_, meta.header.window, meta.header.time,
-                          opts_.codec, &write_scratch_);
-    } else {
-      // Legacy materialising ablation path (pass_through=false), kept as
-      // the reference the zero-copy path is tested against.
-      // ROCANALYZE-ALLOW(r9-copy-discipline,r8-hotpath-alloc): why: legacy ablation reference path.
-      const WireBlock wb = WireBlock::deserialize(item.wire_bytes.to_vector());
-      wb.write_to(*writer_, meta.header.window, meta.header.time,
-                  opts_.codec);
-    }
+    // Dataset payloads stream from the retained wire bytes; no MeshBlock,
+    // no re-marshalling.  The server-retained scratch makes
+    // steady-state writes allocation-free.
+    item.view.write_to(*writer_, meta.header.window, meta.header.time,
+                       opts_.codec, &write_scratch_);
     m_blocks_written_.increment();
     m_write_seconds_.observe(telemetry::now() - t0);
   }
@@ -401,6 +395,25 @@ class Server {
           my_index_)
         mine.push_back(all[i]);
     return mine;
+  }
+
+  /// Opens each of my files of snapshot `base` in turn and calls
+  /// `fn(path, window, pane_id)` for every block stored in it; a file's
+  /// windows are its dataset-name prefixes before the first '/'.  The
+  /// restart plan and the pane listing share this scan.
+  template <typename Fn>
+  void scan_my_panes(const std::string& base, Fn&& fn) const {
+    for (const auto& path : my_files(base)) {
+      shdf::Reader r(fs_, path);
+      std::set<std::string> windows;
+      for (const auto& name : r.dataset_names()) {
+        const auto slash = name.find('/');
+        if (slash != std::string::npos)
+          windows.insert(name.substr(0, slash));
+      }
+      for (const auto& win : windows)
+        for (int id : roccom::pane_ids_in_file(r, win)) fn(path, win, id);
+    }
   }
 
   /// Processes the collective read once every client's ReadHeader is in
@@ -455,24 +468,14 @@ class Server {
     };
     std::vector<PlannedSend> plan;
     std::map<int, uint32_t> counts;  // client -> blocks it will receive
-    for (const auto& path : my_files(first.file)) {
-      shdf::Reader r(fs_, path);
-      std::set<std::string> windows;
-      for (const auto& name : r.dataset_names()) {
-        const auto slash = name.find('/');
-        if (slash != std::string::npos)
-          windows.insert(name.substr(0, slash));
-      }
-      for (const auto& win : windows) {
-        if (!first.window.empty() && win != first.window) continue;
-        for (int id : roccom::pane_ids_in_file(r, win)) {
-          auto it = owner.find(id);
-          if (it == owner.end()) continue;  // written but not requested
-          plan.push_back(PlannedSend{path, win, id, it->second});
-          ++counts[it->second];
-        }
-      }
-    }
+    scan_my_panes(first.file, [&](const std::string& path,
+                                  const std::string& win, int id) {
+      if (!first.window.empty() && win != first.window) return;
+      auto it = owner.find(id);
+      if (it == owner.end()) return;  // written but not requested
+      plan.push_back(PlannedSend{path, win, id, it->second});
+      ++counts[it->second];
+    });
 
     // Exchange counts so each server can tell ITS clients the exact number
     // of blocks that will arrive (from any server).
@@ -502,6 +505,9 @@ class Server {
     // ship it by reference.  The consuming client verifies the stored
     // checksums the reply carries, so the CRC work runs on the clients in
     // parallel and a corrupt dataset fails that client's read_attribute.
+    // A dataset too malformed to encode (bad codec framing, extent, mesh
+    // kind or node_dims) is answered with the reply's error form, which
+    // fails only its owning client; the server keeps serving.
     // The plan is grouped by file, so one Reader serves consecutive
     // entries.  Each file is opened again here rather than kept from pass
     // 1: on the simulated cluster every open and header read is charged,
@@ -513,9 +519,15 @@ class Server {
         reader = std::make_unique<shdf::Reader>(fs_, p.path);
         cur_path = p.path;
       }
-      world_.send(p.owner, kTagReadBlock,
-                  encode_restore_reply(*reader, p.window, p.pane_id,
-                                       read_pool_));
+      SharedBuffer reply;
+      try {
+        reply = encode_restore_reply(*reader, p.window, p.pane_id, read_pool_);
+      } catch (const Error& e) {
+        reply = SharedBuffer::adopt(
+            RestoreError{p.pane_id, "'" + p.path + "': " + e.what()}
+                .serialize());
+      }
+      world_.send(p.owner, kTagReadBlock, std::move(reply));
     }
   }
 
@@ -529,17 +541,9 @@ class Server {
       require(b == base, "clients disagree on the listed file name");
     // Scan my round-robin share of the files, union ids across servers.
     std::set<int32_t> ids;
-    for (const auto& path : my_files(base)) {
-      shdf::Reader r(fs_, path);
-      std::set<std::string> windows;
-      for (const auto& name : r.dataset_names()) {
-        const auto slash = name.find('/');
-        if (slash != std::string::npos)
-          windows.insert(name.substr(0, slash));
-      }
-      for (const auto& win : windows)
-        for (int id : roccom::pane_ids_in_file(r, win)) ids.insert(id);
-    }
+    scan_my_panes(base, [&](const std::string&, const std::string&, int id) {
+      ids.insert(id);
+    });
     ByteWriter w;
     w.put_vector(std::vector<int32_t>(ids.begin(), ids.end()));
     auto all = server_comm_.allgather(w.take());
@@ -589,7 +593,7 @@ class Server {
   std::string open_path_;
   std::set<std::string> started_files_;
   /// Per-dataset name/def/chain storage recycled across all blocks the
-  /// background writer streams out (pass-through mode).
+  /// background writer streams out.
   WriteScratch write_scratch_;
   /// Restart reply buffers: recycled once the receiving clients have
   /// copied the bytes into their panes and dropped their references.

@@ -70,6 +70,10 @@ ReadHeader ReadHeader::deserialize(const void* data, size_t n) {
 // serialize_chain alias caller storage and WireBlockView write straight
 // from received bytes.  The write direction never sets the checksum bit
 // (the server checksums what it writes); restart replies always do.
+//
+// A restart reply whose pane could not be encoded is the error form
+// instead: i32 pane_id, u8 kind = 0x40, string message.  parse_wire
+// rejects that kind, so an error reply never passes for a block.
 
 namespace {
 
@@ -82,6 +86,7 @@ constexpr uint8_t kRoleField = 2;
 constexpr uint8_t kKindAll = 0;
 constexpr uint8_t kKindField = 2;
 constexpr uint8_t kKindChecksummed = 0x80;
+constexpr uint8_t kKindRestoreError = 0x40;
 
 /// Smallest encodable section-table entry, to bound nsections.
 constexpr size_t kMinSectionTableBytes = 1 + 4 + 1 + 4 + 8;
@@ -392,8 +397,9 @@ std::vector<unsigned char> WireBlock::serialize() const {
       .to_vector();
 }
 
-// ROC_COLD: the materialising deserialize is the legacy (pass_through=false)
-// ablation path; the hot receive path keeps WireBlockView over wire bytes.
+// ROC_COLD: the materialising deserialize is the reference the zero-copy
+// path is tested against; the hot receive path keeps WireBlockView over
+// wire bytes.
 ROC_COLD WireBlock WireBlock::deserialize(
     const std::vector<unsigned char>& bytes) {
   const Parsed p = parse_wire(bytes.data(), bytes.size());
@@ -635,6 +641,23 @@ SharedBuffer encode_restore_reply(const shdf::Reader& r,
     off += static_cast<size_t>(s.info->data_bytes);
   }
   return pool.seal(std::move(buf));
+}
+
+std::vector<unsigned char> RestoreError::serialize() const {
+  ByteWriter w;
+  w.put<int32_t>(pane_id);
+  w.put<uint8_t>(kKindRestoreError);
+  w.put_string(message);
+  return w.take();
+}
+
+bool RestoreError::parse(const SharedBuffer& reply, RestoreError* out) {
+  if (reply.size() < 5 || reply.data()[4] != kKindRestoreError) return false;
+  ByteReader r(reply.data(), reply.size());
+  out->pane_id = r.get<int32_t>();
+  (void)r.get<uint8_t>();
+  out->message = r.get_string();
+  return true;
 }
 
 }  // namespace roc::rocpanda

@@ -34,7 +34,8 @@ inline constexpr int kTagSyncAck = 105;     ///< server -> client, empty
 inline constexpr int kTagReadBegin = 106;   ///< client -> server, ReadHeader
 inline constexpr int kTagReadPlan = 107;    ///< server -> client, u32 count
 /// server -> client: one restored block, a checksummed WireBlock in the
-/// server pool's buffer, shared by reference (see encode_restore_reply).
+/// server pool's buffer, shared by reference (see encode_restore_reply),
+/// or a RestoreError when the server could not encode the block.
 inline constexpr int kTagReadBlock = 108;
 inline constexpr int kTagListReq = 109;     ///< client -> server, file name
 inline constexpr int kTagListAck = 110;     ///< server -> client, i32 ids
@@ -74,6 +75,19 @@ struct ReadHeader {
   static ReadHeader deserialize(const std::vector<unsigned char>& bytes) {
     return deserialize(bytes.data(), bytes.size());
   }
+};
+
+/// The error form of a kTagReadBlock reply: the server could not encode
+/// pane `pane_id` (a structurally bad dataset), so it sends this in place
+/// of the block and the owning client fails instead of waiting for it.
+struct RestoreError {
+  int32_t pane_id = -1;
+  std::string message;
+
+  [[nodiscard]] std::vector<unsigned char> serialize() const;
+  /// Decodes `reply` into `*out` if it is the error form; false for a
+  /// block reply.
+  static bool parse(const SharedBuffer& reply, RestoreError* out);
 };
 
 /// Marshalled attribute data of one block.

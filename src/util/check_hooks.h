@@ -8,9 +8,8 @@
 /// at every happens-before-relevant event; hot shared structures mark
 /// their accesses with ROC_CHECK_SHARED_READ / ROC_CHECK_SHARED_WRITE.
 ///
-/// Everything here follows the ROC_LOCKDEBUG_ pattern from mutex.h: when
-/// built with -DROCPIO_CHECK=OFF the macros expand to nothing and this
-/// header contributes zero code to the hot path.  When ON but no checker
+/// When built with -DROCPIO_CHECK=OFF the macros expand to nothing and
+/// this header contributes zero code to the hot path.  When ON but no checker
 /// session is installed, each hook is one relaxed atomic load and a
 /// branch.
 ///
@@ -36,8 +35,7 @@ class Hooks {
   virtual ~Hooks() = default;
 
   /// A mutex/gate identified by `m` was acquired by the calling thread.
-  virtual void lock_acquire(const void* m, const char* name,
-                            const char* file, unsigned line) = 0;
+  virtual void lock_acquire(const void* m) = 0;
   /// ... released.
   virtual void lock_release(const void* m) = 0;
   /// ... destroyed: retire its state (addresses get recycled).
@@ -46,8 +44,7 @@ class Hooks {
   /// CondVar/Gate wait: the mutex is released for the duration of the
   /// wait.  wait_begin models the release edge; wait_end the re-acquire.
   virtual void wait_begin(const void* m) = 0;
-  virtual void wait_end(const void* m, const char* name,
-                        const char* file, unsigned line) = 0;
+  virtual void wait_end(const void* m) = 0;
 
   /// Message / thread-lifetime happens-before: the sender publishes its
   /// clock under `token` (from next_token()); the receiver joins it.

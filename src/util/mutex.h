@@ -4,116 +4,76 @@
 ///
 /// All mutual exclusion in rocpio goes through these types instead of raw
 /// `std::mutex` / `std::condition_variable` (enforced by `tools/lint.py`,
-/// rule `raw-sync`).  The wrappers buy two things:
+/// rule `raw-sync`).  Each lock property has one static and one dynamic
+/// catcher (DESIGN.md §11):
 ///
-///  1. Static checking.  `roc::Mutex` is a Clang Thread Safety Analysis
-///     *capability*: fields declared `ROC_GUARDED_BY(mutex_)` are verified
-///     at compile time to only be touched with the mutex held
-///     (`clang++ -Wthread-safety`, the `thread-safety` CI job).
+///  * Guard discipline.  `roc::Mutex` is a Clang Thread Safety Analysis
+///    *capability*: fields declared `ROC_GUARDED_BY(mutex_)` are verified
+///    at compile time to only be touched with the mutex held
+///    (`clang++ -Wthread-safety`, the `thread-safety` CI job); rocanalyze
+///    `r2-unannotated` flags locked writes to fields that lack the
+///    annotation.  Recursive acquisition is a `-Wthread-safety` error (its
+///    only catcher: under TSan it self-deadlocks without a report).
+///  * Lock order.  rocanalyze R5 checks the whole-program acquisition
+///    graph statically, keyed on the names given here; TSan's
+///    lock-order-inversion detector catches inversions at run time.
 ///
-///  2. Optional dynamic checking.  Built with `-DROCPIO_DEBUG_LOCKS=ON`,
-///     every mutex tracks a per-thread stack of held locks and aborts on
-///     recursive acquisition or on a lock-order (level) violation, and
-///     warns on stderr when a lock is held longer than
-///     `ROC_LOCK_WARN_MS` milliseconds (default 500; waiting on a
-///     `CondVar` does not count as holding).
-///
-/// The release build compiles to exactly a `std::mutex`: the checker hooks
-/// vanish and every method is a one-line inline forward.
+/// The wrappers also carry the concurrency checker's hooks (ROCPIO_CHECK),
+/// which give the race detector its release->acquire happens-before edges.
+/// Without ROCPIO_CHECK every method is a one-line inline forward to
+/// `std::mutex`.
 
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <source_location>
 
 #include "util/check_hooks.h"
 #include "util/thread_annotations.h"
 
 namespace roc {
 
-class Mutex;
-
-#if defined(ROCPIO_DEBUG_LOCKS)
-namespace lockdebug {
-/// Hooks implemented in mutex.cpp; no-ops unless ROCPIO_DEBUG_LOCKS.
-void note_acquire(const Mutex* m, const char* name, int level);
-void note_release(const Mutex* m, const char* name);
-/// A CondVar wait releases and re-acquires without counting the blocked
-/// time against the held-too-long threshold.
-void note_wait_begin(const Mutex* m, const char* name);
-void note_wait_end(const Mutex* m, const char* name, int level);
-}  // namespace lockdebug
-#define ROC_LOCKDEBUG_(stmt) stmt
-#else
-#define ROC_LOCKDEBUG_(stmt)
-#endif
-
 /// A plain (non-recursive) mutex, annotated as a static-analysis
-/// capability and instrumented by the optional debug lock checker.
+/// capability.
 class ROC_CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
 
-  /// `name` appears in debug-checker diagnostics.  `level`, when >= 0,
-  /// declares this mutex's rank in the global acquisition order: a thread
-  /// holding a levelled mutex may only acquire further mutexes of strictly
-  /// greater level (checked under ROCPIO_DEBUG_LOCKS; deadlock
-  /// prevention).  Unlevelled mutexes (-1) are exempt from ordering but
-  /// still checked for recursive acquisition.
-  explicit Mutex(const char* name, int level = -1)
-      : name_(name), level_(level) {
-    (void)name_;
-    (void)level_;
-  }
+  /// `name` is the mutex's node in rocanalyze's static lock-order graph:
+  /// R5 reads the string literal at the declaration, so it is not stored.
+  explicit Mutex(const char* /*name*/) {}
 
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
   ~Mutex() { ROC_CHECKHOOK_(lock_destroy(this)); }
 
-  void lock(std::source_location loc = std::source_location::current())
-      ROC_ACQUIRE() ROC_NO_THREAD_SAFETY_ANALYSIS {
+  void lock() ROC_ACQUIRE() ROC_NO_THREAD_SAFETY_ANALYSIS {
     ROC_CHECK_PREEMPT("mutex.lock");
     m_.lock();
-    ROC_LOCKDEBUG_(lockdebug::note_acquire(this, name_, level_));
-    ROC_CHECKHOOK_(lock_acquire(this, name_, loc.file_name(), loc.line()));
-    (void)loc;
+    ROC_CHECKHOOK_(lock_acquire(this));
   }
 
   void unlock() ROC_RELEASE() ROC_NO_THREAD_SAFETY_ANALYSIS {
-    ROC_LOCKDEBUG_(lockdebug::note_release(this, name_));
     ROC_CHECKHOOK_(lock_release(this));
     m_.unlock();
   }
 
-  [[nodiscard]] bool try_lock(
-      std::source_location loc = std::source_location::current())
-      ROC_TRY_ACQUIRE(true) ROC_NO_THREAD_SAFETY_ANALYSIS {
+  [[nodiscard]] bool try_lock() ROC_TRY_ACQUIRE(true)
+      ROC_NO_THREAD_SAFETY_ANALYSIS {
     const bool ok = m_.try_lock();
-    ROC_LOCKDEBUG_(if (ok) lockdebug::note_acquire(this, name_, level_));
-    if (ok) {
-      ROC_CHECKHOOK_(lock_acquire(this, name_, loc.file_name(), loc.line()));
-    }
-    (void)loc;
+    if (ok) ROC_CHECKHOOK_(lock_acquire(this));
     return ok;
   }
 
  private:
   friend class CondVar;
   std::mutex m_;
-  const char* name_ = "mutex";
-  int level_ = -1;
 };
 
 /// RAII lock for a roc::Mutex (the only way most code should lock one).
 class ROC_SCOPED_CAPABILITY MutexLock {
  public:
-  explicit MutexLock(Mutex& m,
-                     std::source_location loc = std::source_location::current())
-      ROC_ACQUIRE(m)
-      : m_(m) {
-    m.lock(loc);
-  }
+  explicit MutexLock(Mutex& m) ROC_ACQUIRE(m) : m_(m) { m.lock(); }
   ~MutexLock() ROC_RELEASE() { m_.unlock(); }
 
   MutexLock(const MutexLock&) = delete;
@@ -132,18 +92,14 @@ class CondVar {
   CondVar(const CondVar&) = delete;
   CondVar& operator=(const CondVar&) = delete;
 
-  void wait(Mutex& m, std::source_location loc = std::source_location::current())
-      ROC_REQUIRES(m) ROC_NO_THREAD_SAFETY_ANALYSIS {
+  void wait(Mutex& m) ROC_REQUIRES(m) ROC_NO_THREAD_SAFETY_ANALYSIS {
     // The caller holds m per the contract; adopt it for the wait and hand
     // it back afterwards.
-    ROC_LOCKDEBUG_(lockdebug::note_wait_begin(&m, m.name_));
     ROC_CHECKHOOK_(wait_begin(&m));
     std::unique_lock<std::mutex> lk(m.m_, std::adopt_lock);
     cv_.wait(lk);
     lk.release();  // Caller still owns the lock after wait() returns.
-    ROC_LOCKDEBUG_(lockdebug::note_wait_end(&m, m.name_, m.level_));
-    ROC_CHECKHOOK_(wait_end(&m, m.name_, loc.file_name(), loc.line()));
-    (void)loc;
+    ROC_CHECKHOOK_(wait_end(&m));
   }
 
   /// Waits until `pred()` holds (spurious-wakeup safe).
@@ -157,18 +113,14 @@ class CondVar {
   /// still loop on their predicate).  Real-clock cadence only — the
   /// watchdog poller's tick — never a correctness wait: the simulator's
   /// virtual clock does not drive it.
-  bool wait_for(Mutex& m, double seconds,
-                std::source_location loc = std::source_location::current())
-      ROC_REQUIRES(m) ROC_NO_THREAD_SAFETY_ANALYSIS {
-    ROC_LOCKDEBUG_(lockdebug::note_wait_begin(&m, m.name_));
+  bool wait_for(Mutex& m, double seconds) ROC_REQUIRES(m)
+      ROC_NO_THREAD_SAFETY_ANALYSIS {
     ROC_CHECKHOOK_(wait_begin(&m));
     std::unique_lock<std::mutex> lk(m.m_, std::adopt_lock);
     const std::cv_status status =
         cv_.wait_for(lk, std::chrono::duration<double>(seconds));
     lk.release();  // Caller still owns the lock after wait_for() returns.
-    ROC_LOCKDEBUG_(lockdebug::note_wait_end(&m, m.name_, m.level_));
-    ROC_CHECKHOOK_(wait_end(&m, m.name_, loc.file_name(), loc.line()));
-    (void)loc;
+    ROC_CHECKHOOK_(wait_end(&m));
     return status == std::cv_status::no_timeout;
   }
 

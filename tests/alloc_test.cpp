@@ -206,7 +206,7 @@ TEST(ZeroAllocPipeline, PassThroughWriteSteadyStateIsSilent) {
   vfs::MemFileSystem fs;
   shdf::Writer w(fs, "f");
   view.write_to(w, "wa0", 0.0, shdf::Codec::kNone, &scratch);  // warm
-  void* tok = check::alloc_scope_enter("ZeroAllocPipeline::pass_through");
+  void* tok = check::alloc_scope_enter("ZeroAllocPipeline::passthrough_write");
   const uint64_t c0 = check::thread_charged_allocs();
   view.write_to(w, "wa1", 0.0, shdf::Codec::kNone, &scratch);
   view.write_to(w, "wa2", 0.0, shdf::Codec::kNone, &scratch);

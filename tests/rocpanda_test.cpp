@@ -7,6 +7,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <filesystem>
 #include <numeric>
 
@@ -275,46 +276,53 @@ TEST(Rocpanda, MissingBlockOnRestartThrows) {
                  });
 }
 
-/// Flips one byte of dataset `name`'s payload in `path`.
-void flip_payload_byte(vfs::FileSystem& fs, const std::string& path,
-                       const std::string& name) {
+/// Replaces the byte at `offset` into dataset `name`'s stored payload in
+/// `path` with `patch(old byte)`.
+template <typename Patch>
+void patch_stored_byte(vfs::FileSystem& fs, const std::string& path,
+                       const std::string& name, uint64_t offset,
+                       Patch patch) {
   uint64_t at = 0;
   {
     shdf::Reader r(fs, path);
     const shdf::DatasetInfo& i = r.info(name);
-    ASSERT_GT(i.data_bytes, 16u);
-    at = i.data_offset + 16;
+    ASSERT_GT(i.stored_bytes, offset);
+    at = i.data_offset + offset;
   }
   auto f = fs.open(path, vfs::OpenMode::kReadWrite);
   unsigned char byte = 0;
   f->seek(at);
   f->read(&byte, 1);
-  byte ^= 0x5A;
+  byte = patch(byte);
   f->seek(at);
   f->write(&byte, 1);
   f->flush();
 }
 
-TEST(Rocpanda, CorruptRestartFailsTheOwningClientOnly) {
-  // A flipped payload byte is caught by the client that owns the pane: its
-  // read_attribute throws a FormatError naming the pane and section, the
-  // other client restores byte-exact, and the server and every client
-  // shut down normally.
-  vfs::MemFileSystem fs;
-  run_deployment(2, 1, fs, ServerOptions{},
+/// Writes one 4^3 fluid block per client (pane id = client rank) into
+/// snapshot `file` through one server.
+void write_one_block_per_client(vfs::FileSystem& fs, const std::string& file,
+                                const ServerOptions& opts) {
+  run_deployment(2, 1, fs, opts,
                  [&](comm::Comm&, const Layout&, comm::Comm& clients,
                      RocpandaClient& panda) {
                    Roccom com;
                    auto& w = com.create_window("fluid");
                    auto b = make_block(clients.rank());
                    w.register_pane(b.id(), &b);
-                   panda.write_attribute(
-                       com, IoRequest{"fluid", "all", "corrupt", 0.0});
+                   panda.write_attribute(com,
+                                         IoRequest{"fluid", "all", file, 0.0});
                    panda.sync();
                  });
-  flip_payload_byte(fs, "corrupt_s0000.shdf",
-                    "fluid/block_000001/field:pressure");
+}
 
+/// Restores snapshot `file` on 2 clients + 1 server.  Client 1's read must
+/// throw a FormatError whose text contains every string of `want`; client
+/// 0 must restore byte-exact.  Returns client 1's checksum-failure count.
+uint64_t restore_expecting_pane1_failure(vfs::FileSystem& fs,
+                                         const std::string& file,
+                                         const std::vector<std::string>& want) {
+  std::atomic<uint64_t> pane1_failures{0};
   run_deployment(
       2, 1, fs, ServerOptions{},
       [&](comm::Comm&, const Layout&, comm::Comm& clients,
@@ -331,29 +339,59 @@ TEST(Rocpanda, CorruptRestartFailsTheOwningClientOnly) {
             panda.metrics().counter("client.restore_checksum_failures");
         if (id == 1) {
           try {
-            panda.read_attribute(com,
-                                 IoRequest{"fluid", "all", "corrupt", 0.0});
-            ADD_FAILURE() << "corrupt pane restored without an error";
+            panda.read_attribute(com, IoRequest{"fluid", "all", file, 0.0});
+            ADD_FAILURE() << "bad pane restored without an error";
           } catch (const FormatError& e) {
             const std::string what = e.what();
-            EXPECT_NE(what.find("'corrupt'"), std::string::npos) << what;
-            EXPECT_NE(what.find("pane 1"), std::string::npos) << what;
-            EXPECT_NE(what.find("field:pressure"), std::string::npos)
-                << what;
+            for (const auto& s : want)
+              EXPECT_NE(what.find(s), std::string::npos) << what;
           }
-          EXPECT_EQ(failures.value(), 1u);
-          // No byte of the corrupt reply reached the pane.
+          pane1_failures = failures.value();
+          // No byte of the bad reply reached the pane.
           for (double x : b.field("pressure").data) ASSERT_EQ(x, -1.0);
           for (double x : b.coords()) ASSERT_EQ(x, -1.0);
         } else {
-          panda.read_attribute(com,
-                               IoRequest{"fluid", "all", "corrupt", 0.0});
+          panda.read_attribute(com, IoRequest{"fluid", "all", file, 0.0});
           EXPECT_EQ(failures.value(), 0u);
           EXPECT_EQ(b.coords(), source.coords());
           for (const auto& f : source.fields())
             EXPECT_EQ(b.field(f.name).data, f.data) << f.name;
         }
       });
+  return pane1_failures;
+}
+
+TEST(Rocpanda, CorruptRestartFailsTheOwningClientOnly) {
+  // A flipped payload byte is caught by the client that owns the pane: its
+  // read_attribute throws a FormatError naming the pane and section, the
+  // other client restores byte-exact, and the server and every client
+  // shut down normally.
+  vfs::MemFileSystem fs;
+  write_one_block_per_client(fs, "corrupt", ServerOptions{});
+  patch_stored_byte(fs, "corrupt_s0000.shdf",
+                    "fluid/block_000001/field:pressure", 16,
+                    [](unsigned char b) { return b ^ 0x5A; });
+  EXPECT_EQ(restore_expecting_pane1_failure(
+                fs, "corrupt", {"'corrupt'", "pane 1", "field:pressure"}),
+            1u);
+}
+
+TEST(Rocpanda, StructurallyBadRestartFailsTheOwningClientOnly) {
+  // A zero-RLE field whose first token is unknown cannot even be decoded
+  // on the server.  The server answers that pane with the reply's error
+  // form and keeps serving: the owning client gets a FormatError naming
+  // the file and pane, the other client restores byte-exact, and the run
+  // ends instead of hanging in recv.
+  vfs::MemFileSystem fs;
+  ServerOptions opts;
+  opts.codec = shdf::Codec::kZeroRle;
+  write_one_block_per_client(fs, "badrle", opts);
+  patch_stored_byte(fs, "badrle_s0000.shdf",
+                    "fluid/block_000001/field:pressure", 0,
+                    [](unsigned char) { return static_cast<unsigned char>(7); });
+  EXPECT_EQ(restore_expecting_pane1_failure(
+                fs, "badrle", {"'badrle'", "pane 1", "unknown codec token"}),
+            0u);
 }
 
 TEST(Rocpanda, ActiveBufferingOverflowSpillsWithoutDataLoss) {

@@ -14,15 +14,16 @@ candidate definitions:
                                     (`get`, `size`, ...) do not glue the
                                     graph into one blob.
 
-Over-approximation is deliberate: the static lock graph must be a SUPERSET
-of anything the runtime sweep observes (the roccheck subset ctest enforces
-it), so an unresolvable call may fan out, never silently vanish, unless its
-name is hopelessly generic.
+Over-approximation is deliberate: the static lock graph must cover every
+order the program can run (R5 is the only static lock-order catcher), so an
+unresolvable call may fan out, never silently vanish, unless its name is
+hopelessly generic.  The same holds for the R8 hot closure, which the
+allocation interposer cross-checks (static ⊇ dynamic).
 
-Lock identity: LockRef (owning class + field leaf) resolves to the runtime
-lock name harvested from the declaration initializer / set_name() site when
-available, else `Class::leaf`.  Matching runtime names is what makes the
-static graph directly comparable with `roccheck --lock-graph-out`.
+Lock identity: LockRef (owning class + field leaf) resolves to the lock name
+harvested from the declaration initializer / set_name() site when
+available, else `Class::leaf`, so distinct objects sharing a name are one
+node.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
-// rocanalyze fixture: R2 guard-completeness violations.  Never compiled;
-// rocanalyze_test.py asserts r2-unannotated and r2-unlocked-access fire.
+// rocanalyze fixture: R2 guard-completeness violation.  Never compiled;
+// rocanalyze_test.py asserts r2-unannotated fires.  (A guarded field read
+// lock-free is Clang -Wthread-safety's catch: tests/compile_fail/.)
 namespace roc {
 class Mutex {
  public:
@@ -18,12 +19,8 @@ class StatTable {
     roc::MutexLock lock(mu_);
     hits_ += 1;  // <- r2-unannotated: written under mu_, no ROC_GUARDED_BY
   }
-  unsigned long peek() const {
-    return total_;  // <- r2-unlocked-access: guarded, accessed lock-free
-  }
 
  private:
   roc::Mutex mu_;
   unsigned long hits_ = 0;
-  unsigned long total_ ROC_GUARDED_BY(mu_) = 0;
 };

@@ -26,10 +26,10 @@ held (directly, or anywhere inside a callee).  The three rules:
                          cross-thread handoff with no pinning SharedBuffer
                          in the same handoff.
 
-The static graph deliberately over-approximates: `roccheck
---lock-graph-out` exports the runtime acquisition graph and a ctest
-asserts every observed edge appears here (static superset of dynamic); a
-miss is a call-graph soundness bug, not an acceptable imprecision.
+The static graph deliberately over-approximates: R5 is the only static
+lock-order catcher (TSan's lock-order-inversion detector is the dynamic
+one), so a missed edge is a call-graph soundness bug, not an acceptable
+imprecision.
 """
 
 from __future__ import annotations
@@ -227,29 +227,6 @@ class Analysis:
                                 self._add_edge(
                                     hn, node, fm.rel, c.line,
                                     ((frame,) + chain)[:MAX_CHAIN])
-
-    # -- graph export --------------------------------------------------------
-
-    def graph_json(self):
-        edges = []
-        for (frm, to) in sorted(self.edges):
-            e = self.edges[(frm, to)]
-            edges.append({"from": frm, "to": to, "file": e.file,
-                          "line": e.line, "path": list(e.chain)})
-        return {"version": 1, "kind": "static-lock-order-graph",
-                "edges": edges}
-
-    def graph_dot(self):
-        out = ["digraph static_lock_order {"]
-        nodes = sorted({n for e in self.edges for n in e})
-        for n in nodes:
-            out.append('  "%s";' % n)
-        for (frm, to) in sorted(self.edges):
-            e = self.edges[(frm, to)]
-            out.append('  "%s" -> "%s" [label="%s:%d"];'
-                       % (frm, to, e.file, e.line))
-        out.append("}")
-        return "\n".join(out) + "\n"
 
     # -- R5: static deadlock cycles -----------------------------------------
 

@@ -7,10 +7,10 @@ Seven rule families (see rules.py for the full catalogue):
                           WireBlockView, std::string_view) must have a
                           provably-outliving owner.
   R2 guard-completeness   fields written under a roc::Mutex / comm::Gate
-                          must be ROC_GUARDED_BY it; guarded fields must
-                          not be touched lock-free.  This closes the gap
+                          must be ROC_GUARDED_BY it.  This closes the gap
                           Clang's -Wthread-safety leaves when annotations
-                          are simply absent.
+                          are simply absent (Clang itself checks that
+                          guarded fields are not touched lock-free).
   R3 hook-coverage        checker-registered shared cells
                           (ROC_CHECK_SHARED_*) must be hooked at every
                           observing/mutating method, and guarded siblings
@@ -21,8 +21,8 @@ Seven rule families (see rules.py for the full catalogue):
   R5 static lock order    whole-program lock acquisition graph (call graph
                           + lock-set dataflow) must be acyclic; cycles are
                           potential deadlocks, found without running the
-                          schedule.  --lock-graph-out exports the graph;
-                          roccheck cross-validates it (static ⊇ dynamic).
+                          schedule; each finding names both acquisition
+                          paths.
   R6 blocking under lock  no path from a lock-held region to a curated
                           blocking op (vfs I/O, Comm send/recv, waits,
                           submit backpressure, join, raw syscalls).
@@ -104,7 +104,7 @@ def iter_source_files(root):
 
 
 def expand_rules(spec):
-    """Expands `r1,r2-unlocked-access` style specs: a bare family prefix
+    """Expands `r1,r2-unannotated` style specs: a bare family prefix
     (r1..r4) selects every rule in the family."""
     out = []
     for tok in (t.strip() for t in spec.split(",")):
@@ -172,12 +172,6 @@ def main(argv=None):
     ap.add_argument("--strict", action="store_true",
                     help="also fail on stale baseline entries and on "
                          "entries whose justification lacks a `why:` tag")
-    ap.add_argument("--lock-graph-out", default="",
-                    help="write the static lock-order graph as JSON "
-                         "(same edge schema as roccheck --lock-graph-out)")
-    ap.add_argument("--lock-graph-dot", default="",
-                    help="write the static lock-order graph as Graphviz "
-                         "DOT")
     ap.add_argument("--hot-report-out", default="",
                     help="write the R8 hot-closure witness report as JSON "
                          "(roots, hot-reachable functions with chains and "
@@ -246,8 +240,7 @@ def main(argv=None):
 
     from rules import ALLOC_RULES, INTERPROC_RULES
     analysis = None
-    if (any(r in rules for r in INTERPROC_RULES) or args.lock_graph_out
-            or args.lock_graph_dot):
+    if any(r in rules for r in INTERPROC_RULES):
         import lockset
         analysis = lockset.analyze(models)
     alloc_analysis = None
@@ -259,13 +252,6 @@ def main(argv=None):
     findings = run_rules(models, structs, rules=rules, analysis=analysis,
                          alloc_analysis=alloc_analysis)
 
-    if args.lock_graph_out:
-        with open(args.lock_graph_out, "w", encoding="utf-8") as fh:
-            json.dump(analysis.graph_json(), fh, indent=2)
-            fh.write("\n")
-    if args.lock_graph_dot:
-        with open(args.lock_graph_dot, "w", encoding="utf-8") as fh:
-            fh.write(analysis.graph_dot())
     if args.hot_report_out:
         with open(args.hot_report_out, "w", encoding="utf-8") as fh:
             json.dump(alloc_analysis.hot_report_json(), fh, indent=2)

@@ -23,7 +23,7 @@ FIXTURES = os.path.join(HERE, "fixtures")
 
 EXPECTED = {
     "r1_dangling_view.cpp": {"r1-stored-view", "r1-return-view"},
-    "r2_unannotated_guard.cpp": {"r2-unannotated", "r2-unlocked-access"},
+    "r2_unannotated_guard.cpp": {"r2-unannotated"},
     "r3_hookless_shared.cpp": {"r3-missing-hook", "r3-unregistered-sibling"},
     "r4_padded_memcpy.cpp": {"r4-memcpy-struct", "r4-cast-serialize"},
     "r5_lock_cycle.cpp": {"r5-lock-cycle"},
@@ -78,10 +78,10 @@ class TestFixtures(unittest.TestCase):
 
     def test_rule_selection(self):
         rc, findings, _, _ = analyze(
-            [os.path.join(FIXTURES, "r2_unannotated_guard.cpp")],
-            "--rules", "r2-unlocked-access")
+            [os.path.join(FIXTURES, "r4_padded_memcpy.cpp")],
+            "--rules", "r4-cast-serialize")
         self.assertEqual({f["rule"] for f in findings},
-                         {"r2-unlocked-access"})
+                         {"r4-cast-serialize"})
         self.assertEqual(rc, 1)
 
 

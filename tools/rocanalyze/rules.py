@@ -13,9 +13,8 @@ Rule ids (each finding carries one):
                     held in at least one method but carries no
                     ROC_GUARDED_BY -- the gap Clang's -Wthread-safety
                     cannot see (absent annotations analyze as clean).
-  r2-unlocked-access A ROC_GUARDED_BY field is accessed in a method that
-                    neither holds the capability nor declares
-                    ROC_REQUIRES on it.
+                    Touching an annotated field lock-free is Clang's own
+                    -Wthread-safety error (the thread-safety CI job).
   r3-missing-hook   A field registered as a checker shared cell
                     (ROC_CHECK_SHARED_READ/WRITE somewhere) is accessed in
                     a method containing no hook for it -- the dynamic
@@ -68,7 +67,7 @@ from cxxmodel import caps_match
 
 ALL_RULES = (
     "r1-stored-view", "r1-return-view",
-    "r2-unannotated", "r2-unlocked-access",
+    "r2-unannotated",
     "r3-missing-hook", "r3-unregistered-sibling",
     "r4-memcpy-struct", "r4-cast-serialize",
     "r5-lock-cycle",
@@ -124,7 +123,7 @@ def run_rules(models, structs, rules=ALL_RULES, analysis=None,
     for fm in models:
         if "r1-stored-view" in rules or "r1-return-view" in rules:
             findings.extend(rule_r1(fm))
-        if "r2-unannotated" in rules or "r2-unlocked-access" in rules:
+        if "r2-unannotated" in rules:
             findings.extend(rule_r2(fm))
         if "r3-missing-hook" in rules or "r3-unregistered-sibling" in rules:
             findings.extend(rule_r3(fm))
@@ -210,28 +209,6 @@ def rule_r2(fm):
         caps |= {f.guarded_by for f in ci.fields.values() if f.guarded_by}
         if not caps:
             continue
-        guarded = {n: f for n, f in ci.fields.items() if f.guarded_by}
-
-        # r2-unlocked-access: guarded field touched without the capability.
-        for m in ci.methods:
-            if m.is_ctor or m.no_analysis:
-                continue
-            for a in m.accesses:
-                f = guarded.get(a.field)
-                if not f:
-                    continue
-                if any(caps_match(h, f.guarded_by) for h in a.held):
-                    continue
-                if any(caps_match(r, f.guarded_by) for r in m.requires):
-                    continue
-                yield Finding(
-                    "r2-unlocked-access", fm.rel, a.line, ci.name,
-                    f"{m.name}:{a.field}",
-                    f"{ci.name}::{a.field} is ROC_GUARDED_BY"
-                    f"({f.guarded_by}) but {m.name}() "
-                    f"{'writes' if a.write else 'reads'} it without "
-                    f"holding the capability (and without ROC_REQUIRES)")
-                break  # one finding per (method, field) is enough
 
         # r2-unannotated: written under a lock somewhere, never annotated.
         reported = set()
