@@ -23,7 +23,7 @@ class RealGate final : public Gate {
   void do_notify_all() override { cv_.notify_all(); }
 
  private:
-  roc::Mutex lock_{"gate"};
+  roc::Mutex lock_;
   roc::CondVar cv_;
 };
 

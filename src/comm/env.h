@@ -41,11 +41,6 @@ class ROC_CAPABILITY("gate") Gate {
  public:
   virtual ~Gate() { ROC_CHECKHOOK_(lock_destroy(this)); }
 
-  /// Names the gate's node in rocanalyze's static lock-order graph: R5
-  /// reads the string literal at this call, so it is not stored.  Call
-  /// once, right after construction.
-  void set_name(const char* /*name*/) {}
-
   void lock() ROC_ACQUIRE() ROC_NO_THREAD_SAFETY_ANALYSIS {
     ROC_CHECK_PREEMPT("gate.lock");
     do_lock();

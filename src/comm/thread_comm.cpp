@@ -30,7 +30,7 @@ struct Envelope {
 
 /// Per-process mailbox: FIFO of envelopes + wakeup signalling.
 struct Mailbox {
-  roc::Mutex mutex{"mailbox"};
+  roc::Mutex mutex;
   roc::CondVar cv;
   std::deque<Envelope> queue ROC_GUARDED_BY(mutex);
 };
@@ -251,7 +251,7 @@ void World::run(int n, const Body& body) {
 
   std::vector<roc::Thread> threads;
   threads.reserve(static_cast<size_t>(n));
-  roc::Mutex error_mutex{"world-error"};
+  roc::Mutex error_mutex;
   std::exception_ptr first_error;
 
   for (int r = 0; r < n; ++r) {

@@ -37,7 +37,6 @@ Rochdf::Rochdf(comm::Comm& comm, comm::Env& env, vfs::FileSystem& fs,
       m_write_seconds_(metrics_.histogram("rochdf.write_seconds")),
       gate_storage_(env.make_gate()),
       gate_(gate_storage_.get()) {
-  gate_->set_name("rochdf-gate");
   if (options_.threaded)
     worker_ = env_.spawn_worker([this] { worker_loop(); });
 }

@@ -33,7 +33,6 @@ RocpandaClient::RocpandaClient(comm::Comm& world, comm::Env& env,
       m_write_seconds_(metrics_.histogram("client.write_seconds")),
       gate_storage_(env.make_gate()),
       gate_(gate_storage_.get()) {
-  gate_->set_name("rocpanda-client-gate");
   require(!layout_.is_server(world_.rank()),
           "RocpandaClient constructed on a server rank");
   if (options_.client_buffering)

@@ -88,6 +88,7 @@ class Server {
         m_files_created_(metrics_.counter("server.files_created")),
         m_sync_requests_(metrics_.counter("server.sync_requests")),
         m_read_sessions_(metrics_.counter("server.read_sessions")),
+        m_restore_errors_(metrics_.counter("server.restore_errors")),
         m_buffered_bytes_peak_(metrics_.gauge("server.buffered_bytes_peak")),
         m_write_seconds_(metrics_.histogram("server.write_seconds")),
         // The async layer wraps the caller's filesystem and shares the
@@ -108,6 +109,7 @@ class Server {
     s.files_created = m_files_created_.value();
     s.sync_requests = m_sync_requests_.value();
     s.read_sessions = m_read_sessions_.value();
+    s.restore_errors = m_restore_errors_.value();
     const vfs::AsyncFileSystem::Stats a = async_fs_.stats();
     s.async_submissions = a.submissions;
     s.async_coalesced_writes = a.coalesced_writes;
@@ -523,6 +525,9 @@ class Server {
       try {
         reply = encode_restore_reply(*reader, p.window, p.pane_id, read_pool_);
       } catch (const Error& e) {
+        m_restore_errors_.increment();
+        ROC_ERROR << "Rocpanda server: cannot restore pane " << p.pane_id
+                  << " from '" << p.path << "': " << e.what();
         reply = SharedBuffer::adopt(
             RestoreError{p.pane_id, "'" + p.path + "': " + e.what()}
                 .serialize());
@@ -577,6 +582,7 @@ class Server {
   telemetry::Counter& m_files_created_;
   telemetry::Counter& m_sync_requests_;
   telemetry::Counter& m_read_sessions_;
+  telemetry::Counter& m_restore_errors_;
   telemetry::Gauge& m_buffered_bytes_peak_;
   telemetry::Histogram& m_write_seconds_;
   /// Wraps fs_ for the background writer.  Declared after the registry it

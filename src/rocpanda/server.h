@@ -64,6 +64,7 @@ struct ServerStats {
   uint64_t files_created = 0;
   uint64_t sync_requests = 0;
   uint64_t read_sessions = 0;
+  uint64_t restore_errors = 0;  ///< restart blocks answered with an error
 
   // Async vfs write path (views over the server registry's vfs.async.*
   // entries; all zero on non-POSIX substrates, which bypass the ring).

@@ -239,7 +239,7 @@ class Simulation {
   uint64_t next_seq_ = 0;
   bool ran_ = false;
   bool cancelled_ = false;
-  roc::Mutex error_mutex_{"sim-error"};
+  roc::Mutex error_mutex_;
   std::exception_ptr first_error_ ROC_GUARDED_BY(error_mutex_);
 
   std::priority_queue<Event, std::vector<Event>, std::greater<>> events_;

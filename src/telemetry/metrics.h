@@ -170,7 +170,7 @@ class MetricsRegistry {
   [[nodiscard]] std::string to_json() const;
 
  private:
-  mutable Mutex mu_{"metrics_registry"};
+  mutable Mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_
       ROC_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_

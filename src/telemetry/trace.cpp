@@ -23,7 +23,7 @@ namespace {
 /// uncontended) mutex.  Storage grows on demand up to kTraceRingCapacity,
 /// then wraps, dropping the oldest events.
 struct RingBuffer {
-  Mutex mu{"trace_ring"};
+  Mutex mu;
   std::vector<TraceEvent> events ROC_GUARDED_BY(mu);
   std::size_t head ROC_GUARDED_BY(mu) = 0;  // oldest event when wrapped
   std::uint64_t dropped ROC_GUARDED_BY(mu) = 0;
@@ -62,7 +62,7 @@ struct RingBuffer {
 /// on reset_trace_identity_for_replay(): threads that cached a ring from
 /// an earlier epoch re-register, so tid numbering restarts deterministically.
 struct BufferList {
-  Mutex mu{"trace_buffers"};
+  Mutex mu;
   std::vector<std::shared_ptr<RingBuffer>> buffers ROC_GUARDED_BY(mu);
   int next_tid ROC_GUARDED_BY(mu) = 1;
   std::atomic<std::uint64_t> epoch{0};

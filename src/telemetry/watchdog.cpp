@@ -45,7 +45,7 @@ struct Slot {
 };
 
 struct Table {
-  Mutex register_mu{"watchdog_register"};
+  Mutex register_mu;
   std::atomic<int> count{0};
   Slot slots[kMaxSlots];
 };
@@ -100,7 +100,7 @@ Slot* find_or_register(const char* name) {
 /// Background poller (real-clock deployments).  Virtual-clock runs call
 /// poll() themselves at points of their choosing.
 struct Poller {
-  Mutex mu{"watchdog_poller"};
+  Mutex mu;
   CondVar cv;
   bool stop_requested ROC_GUARDED_BY(mu) = false;
   bool running ROC_GUARDED_BY(mu) = false;

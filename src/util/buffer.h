@@ -171,7 +171,7 @@ struct BufferPoolState {
   explicit BufferPoolState(size_t max_per_bucket_)
       : max_per_bucket(max_per_bucket_) {}
 
-  roc::Mutex mutex{"buffer_pool"};
+  roc::Mutex mutex;
   std::array<std::vector<std::vector<unsigned char>>, kPoolBuckets> free_lists
       ROC_GUARDED_BY(mutex);
   uint64_t hits ROC_GUARDED_BY(mutex) = 0;      ///< acquire served from pool

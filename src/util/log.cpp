@@ -10,7 +10,7 @@ namespace roc {
 namespace {
 
 std::atomic<LogLevel> g_level{LogLevel::kWarn};
-Mutex g_mutex{"log"};
+Mutex g_mutex;
 // Empty function object = the default stderr sink.
 LogSink g_sink ROC_GUARDED_BY(g_mutex);
 std::atomic<void (*)(LogLevel, const std::string&)> g_mirror{nullptr};

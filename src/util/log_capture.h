@@ -71,7 +71,7 @@ class ScopedLogCapture {
   }
 
  private:
-  mutable Mutex mu_{"log_capture"};
+  mutable Mutex mu_;
   std::vector<Line> lines_ ROC_GUARDED_BY(mu_);
   LogLevel prev_level_;
   LogSink prev_sink_;

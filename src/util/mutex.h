@@ -15,8 +15,9 @@
 ///    annotation.  Recursive acquisition is a `-Wthread-safety` error (its
 ///    only catcher: under TSan it self-deadlocks without a report).
 ///  * Lock order.  rocanalyze R5 checks the whole-program acquisition
-///    graph statically, keyed on the names given here; TSan's
-///    lock-order-inversion detector catches inversions at run time.
+///    graph statically, naming each mutex by its `Class::member`
+///    declaration; TSan's lock-order-inversion detector catches inversions
+///    at run time.
 ///
 /// The wrappers also carry the concurrency checker's hooks (ROCPIO_CHECK),
 /// which give the race detector its release->acquire happens-before edges.
@@ -37,11 +38,6 @@ namespace roc {
 class ROC_CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
-
-  /// `name` is the mutex's node in rocanalyze's static lock-order graph:
-  /// R5 reads the string literal at the declaration, so it is not stored.
-  explicit Mutex(const char* /*name*/) {}
-
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 

@@ -135,7 +135,7 @@ class ThreadPoolEngine {
 
   const unsigned depth_;
   AsyncMetrics m_;
-  Mutex mu_{"async_tp_ring"};
+  Mutex mu_;
   CondVar cv_work_;
   CondVar cv_space_;
   CondVar cv_drain_;

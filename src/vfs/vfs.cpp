@@ -175,10 +175,10 @@ std::vector<std::string> PosixFileSystem::list(const std::string& prefix) {
 
 struct MemFileSystem::Store {
   struct FileData {
-    roc::Mutex mutex{"memfile"};
+    roc::Mutex mutex;
     std::vector<unsigned char> bytes ROC_GUARDED_BY(mutex);
   };
-  roc::Mutex mutex{"memfs-dir"};  // guards the directory map
+  roc::Mutex mutex;  // guards the directory map
   std::map<std::string, std::shared_ptr<FileData>> files
       ROC_GUARDED_BY(mutex);
 };

@@ -50,7 +50,7 @@ class FlatTarget final : public IoTarget {
   }
 
  private:
-  Mutex mu_{"flat_target"};
+  Mutex mu_;
   std::vector<unsigned char> bytes_ ROC_GUARDED_BY(mu_);
   uint64_t extent_ ROC_GUARDED_BY(mu_) = 0;
 };
@@ -79,7 +79,7 @@ class GateTarget final : public IoTarget {
   }
 
  private:
-  Mutex mu_{"gate_target"};
+  Mutex mu_;
   CondVar cv_;
   bool open_ ROC_GUARDED_BY(mu_) = false;
   unsigned active_ ROC_GUARDED_BY(mu_) = 0;

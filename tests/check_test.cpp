@@ -105,7 +105,7 @@ TEST(HappensBefore, MutexOrdersSiblingWrites) {
   s.install();
   int cell = 0;
   {
-    roc::Mutex m("hb-mutex");
+    roc::Mutex m;
     roc::Thread a([&] {
       MutexLock l(m);
       ROC_CHECK_SHARED_WRITE(&cell, "hb.cell");
@@ -126,7 +126,7 @@ TEST(HappensBefore, CondVarHandoffIsOrdered) {
   s.install();
   int cell = 0;
   {
-    roc::Mutex m("hb-cv");
+    roc::Mutex m;
     roc::CondVar cv;
     bool ready = false;
     roc::Thread consumer([&] {

@@ -23,7 +23,7 @@ class Tally {
   }
 
  private:
-  roc::Mutex mu_{"tally"};
+  roc::Mutex mu_;
   unsigned long total_ ROC_GUARDED_BY(mu_) = 0;
 };
 

@@ -323,7 +323,7 @@ TEST(RaceTest, CompletionRingHammer) {
     }
 
    private:
-    Mutex mu_{"striped_target"};
+    Mutex mu_;
     std::vector<unsigned char> bytes_ ROC_GUARDED_BY(mu_);
   };
 

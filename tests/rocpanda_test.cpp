@@ -18,6 +18,7 @@
 #include "rocpanda/layout.h"
 #include "rocpanda/server.h"
 #include "shdf/reader.h"
+#include "util/log_capture.h"
 #include "vfs/vfs.h"
 
 namespace roc::rocpanda {
@@ -92,25 +93,28 @@ TEST(Layout, InvalidConfigurationsRejected) {
 
 /// Runs `clients` client bodies + servers under one world.  The client body
 /// gets (world, layout, client_comm, client object).
-void run_deployment(
+std::vector<ServerStats> run_deployment(
     int nclients, int nservers, vfs::FileSystem& fs,
     const ServerOptions& server_opts,
     const std::function<void(comm::Comm&, const Layout&, comm::Comm&,
                              RocpandaClient&)>& client_body) {
   const int world_size = nclients + nservers;
+  std::vector<ServerStats> server_stats(nservers);
   comm::World::run(world_size, [&](comm::Comm& world) {
     comm::RealEnv env;
     const Layout layout(world.size(), nservers);
     const bool server = layout.is_server(world.rank());
     auto local = world.split(server ? 1 : 0, world.rank());
     if (server) {
-      (void)run_server(world, *local, env, fs, layout, server_opts);
+      server_stats[layout.server_index(world.rank())] =
+          run_server(world, *local, env, fs, layout, server_opts);
     } else {
       RocpandaClient client(world, env, layout);
       client_body(world, layout, *local, client);
       client.shutdown();
     }
   });
+  return server_stats;
 }
 
 TEST(Rocpanda, CollectiveWriteProducesOneFilePerServer) {
@@ -316,14 +320,19 @@ void write_one_block_per_client(vfs::FileSystem& fs, const std::string& file,
                  });
 }
 
+struct RestoreFailureCounts {
+  uint64_t client_checksum_failures = 0;  ///< client 1's
+  uint64_t server_restore_errors = 0;
+};
+
 /// Restores snapshot `file` on 2 clients + 1 server.  Client 1's read must
 /// throw a FormatError whose text contains every string of `want`; client
-/// 0 must restore byte-exact.  Returns client 1's checksum-failure count.
-uint64_t restore_expecting_pane1_failure(vfs::FileSystem& fs,
-                                         const std::string& file,
-                                         const std::vector<std::string>& want) {
+/// 0 must restore byte-exact.
+RestoreFailureCounts restore_expecting_pane1_failure(
+    vfs::FileSystem& fs, const std::string& file,
+    const std::vector<std::string>& want) {
   std::atomic<uint64_t> pane1_failures{0};
-  run_deployment(
+  const std::vector<ServerStats> servers = run_deployment(
       2, 1, fs, ServerOptions{},
       [&](comm::Comm&, const Layout&, comm::Comm& clients,
           RocpandaClient& panda) {
@@ -358,7 +367,7 @@ uint64_t restore_expecting_pane1_failure(vfs::FileSystem& fs,
             EXPECT_EQ(b.field(f.name).data, f.data) << f.name;
         }
       });
-  return pane1_failures;
+  return {pane1_failures, servers[0].restore_errors};
 }
 
 TEST(Rocpanda, CorruptRestartFailsTheOwningClientOnly) {
@@ -371,9 +380,11 @@ TEST(Rocpanda, CorruptRestartFailsTheOwningClientOnly) {
   patch_stored_byte(fs, "corrupt_s0000.shdf",
                     "fluid/block_000001/field:pressure", 16,
                     [](unsigned char b) { return b ^ 0x5A; });
-  EXPECT_EQ(restore_expecting_pane1_failure(
-                fs, "corrupt", {"'corrupt'", "pane 1", "field:pressure"}),
-            1u);
+  const RestoreFailureCounts n = restore_expecting_pane1_failure(
+      fs, "corrupt", {"'corrupt'", "pane 1", "field:pressure"});
+  EXPECT_EQ(n.client_checksum_failures, 1u);
+  // The server ships stored bytes unchecked: the client's CRC catches it.
+  EXPECT_EQ(n.server_restore_errors, 0u);
 }
 
 TEST(Rocpanda, StructurallyBadRestartFailsTheOwningClientOnly) {
@@ -381,7 +392,9 @@ TEST(Rocpanda, StructurallyBadRestartFailsTheOwningClientOnly) {
   // on the server.  The server answers that pane with the reply's error
   // form and keeps serving: the owning client gets a FormatError naming
   // the file and pane, the other client restores byte-exact, and the run
-  // ends instead of hanging in recv.
+  // ends instead of hanging in recv.  The server counts the error reply
+  // and logs it (an error line, so the flight recorder keeps it too); no
+  // checksum failed.
   vfs::MemFileSystem fs;
   ServerOptions opts;
   opts.codec = shdf::Codec::kZeroRle;
@@ -389,9 +402,13 @@ TEST(Rocpanda, StructurallyBadRestartFailsTheOwningClientOnly) {
   patch_stored_byte(fs, "badrle_s0000.shdf",
                     "fluid/block_000001/field:pressure", 0,
                     [](unsigned char) { return static_cast<unsigned char>(7); });
-  EXPECT_EQ(restore_expecting_pane1_failure(
-                fs, "badrle", {"'badrle'", "pane 1", "unknown codec token"}),
-            0u);
+  ScopedLogCapture log(LogLevel::kError);
+  const RestoreFailureCounts n = restore_expecting_pane1_failure(
+      fs, "badrle", {"'badrle'", "pane 1", "unknown codec token"});
+  EXPECT_EQ(n.client_checksum_failures, 0u);
+  EXPECT_EQ(n.server_restore_errors, 1u);
+  EXPECT_TRUE(log.contains("cannot restore pane 1 from 'badrle_s0000.shdf'"));
+  EXPECT_TRUE(log.contains("unknown codec token"));
 }
 
 TEST(Rocpanda, ActiveBufferingOverflowSpillsWithoutDataLoss) {

@@ -7,7 +7,8 @@ Enforces repo-wide correctness invariants that the compiler cannot:
                    std lock helpers) outside the annotated wrappers in
                    src/util/mutex.h -- all locking must go through
                    roc::Mutex / roc::CondVar so Clang Thread Safety
-                   Analysis and the debug lock checker see it.
+                   Analysis, rocanalyze's lock rules and the concurrency
+                   checker's happens-before hooks see it.
   raw-thread       No raw std::thread construction or detach() outside
                    the roc::Thread wrapper (src/util/thread.*) and the
                    simulator's platform shim -- every thread must be a
@@ -36,8 +37,8 @@ Enforces repo-wide correctness invariants that the compiler cannot:
                    moment its owner dies.  The sanctioned pattern (owner
                    held alongside, as in BufferChain::Segment) lives in
                    allowlisted files that tools/rocanalyze verifies more
-                   deeply (rule R1); this is the cheap lexical net for
-                   machines without libclang.
+                   deeply (rule R1, src/ only); this rule also covers
+                   tests/, bench/, examples/ and tools/.
   raw-io           No raw POSIX write calls (::write/::pwrite/::writev
                    and variants) outside src/vfs/ -- all file output must
                    flow through the vfs layer so the async backend,
@@ -56,9 +57,9 @@ Enforces repo-wide correctness invariants that the compiler cannot:
   analyzer-allow   Every `ROCANALYZE-ALLOW(rule): ...` suppression marker
                    must be well-formed and carry a `why:` justification in
                    its reason text -- suppressions without a recorded
-                   rationale rot into unauditable exemptions (the same
-                   contract rocanalyze --strict enforces for baseline
-                   entries).
+                   rationale rot into unauditable exemptions.  Inline
+                   markers are rocanalyze's only suppression channel, so
+                   this is where every accepted finding is justified.
   build-artifacts  No build artifacts tracked in git (build*/ trees,
                    object files, CMake/CTest droppings).
 
@@ -531,7 +532,7 @@ def check_metric_name(root: str, path: str, text: str, stripped: str):
 # A well-formed suppression: `ROCANALYZE-ALLOW(rule-id): why: <reason>`.
 # rocanalyze only needs the `(rule): reason` shape; lint additionally
 # demands the `why:` tag so every suppression in the tree records its
-# justification (the same contract --strict enforces for baseline entries).
+# justification (inline markers are rocanalyze's only suppression channel).
 ROCANALYZE_MARKER = "ROCANALYZE-ALLOW"
 ROCANALYZE_ALLOW_RE = re.compile(
     r"ROCANALYZE-ALLOW\(\s*([\w,\s-]+?)\s*\)\s*:\s*(\S.*)")

@@ -20,10 +20,9 @@ unresolvable call may fan out, never silently vanish, unless its name is
 hopelessly generic.  The same holds for the R8 hot closure, which the
 allocation interposer cross-checks (static ⊇ dynamic).
 
-Lock identity: LockRef (owning class + field leaf) resolves to the lock name
-harvested from the declaration initializer / set_name() site when
-available, else `Class::leaf`, so distinct objects sharing a name are one
-node.
+Lock identity: LockRef (owning class + field leaf) names the graph node
+`Class::member`, so every instance of a class shares one node per lock
+member.
 """
 
 from __future__ import annotations
@@ -60,6 +59,10 @@ OPAQUE_RECV_CLASSES = frozenset({
 # Name-union fan-out cap: beyond this many candidate classes the call is
 # treated as unresolvable (accessor-grade name).
 MAX_FANOUT = 8
+
+
+def _lockable(f):
+    return f is not None and (f.is_mutex or "Gate" in f.type_str)
 
 
 class Program:
@@ -99,49 +102,34 @@ class Program:
             return LockRef(owner_key, ref.leaf)
         return ref
 
+    def lockable_owner(self, leaf):
+        """Class key of the unique lockable field named `leaf` program-wide
+        (the fallback for unqualified refs), else ""."""
+        owners = [ck for ck, fields in self.class_fields.items()
+                  if _lockable(fields.get(leaf))]
+        return owners[0] if len(owners) == 1 else ""
+
     def field_for(self, ref):
         """Field a LockRef resolves to, using the unique-lockable-leaf
         fallback for unqualified refs."""
-        f = self.class_fields.get(ref.cls, {}).get(ref.leaf)
-        if f is None and not ref.cls:
-            cands = []
-            for ck, fields in self.class_fields.items():
-                f2 = fields.get(ref.leaf)
-                if f2 is not None and (f2.is_mutex or "Gate" in f2.type_str):
-                    cands.append((ck, f2))
-            if len(cands) == 1:
-                return cands[0][1]
-        return f
+        cls = ref.cls or self.lockable_owner(ref.leaf)
+        return self.class_fields.get(cls, {}).get(ref.leaf)
 
     def tracked(self, ref):
         """True when a LockRef names a first-party lock (roc::Mutex /
-        comm::Gate field) the runtime checker would also see.  Filters
-        wrapper internals (`this`, raw std::mutex members) out of the
-        static lock-order graph."""
+        comm::Gate field).  Filters wrapper internals (`this`, raw
+        std::mutex members) out of the static lock-order graph."""
         if not ref.leaf or ref.leaf == "this":
             return False
-        f = self.field_for(ref)
-        return f is not None and (f.is_mutex or "Gate" in f.type_str)
+        return _lockable(self.field_for(ref))
 
     def lock_node(self, ref):
-        """Graph node name for a LockRef: the runtime lock name when the
-        declaration (or a set_name site) carries one, else Class::leaf."""
-        f = self.class_fields.get(ref.cls, {}).get(ref.leaf)
-        if f is None and not ref.cls:
-            # Unqualified leaf: unique lockable field of that name anywhere?
-            cands = []
-            for ck, fields in self.class_fields.items():
-                f2 = fields.get(ref.leaf)
-                if f2 is not None and (f2.is_mutex or "Gate" in f2.type_str):
-                    cands.append((ck, f2))
-            if len(cands) == 1:
-                return cands[0][1].runtime_name or \
-                    f"{cands[0][0]}::{ref.leaf}"
-        if f is not None and f.runtime_name:
-            return f.runtime_name
-        if ref.cls:
-            return f"{ref.cls}::{ref.leaf}"
-        return ref.leaf
+        """Graph node name for a LockRef: `Class::member`, with an
+        unqualified leaf attributed to the unique class declaring a
+        lockable field of that name (the bare leaf when none or several
+        do)."""
+        cls = ref.cls or self.lockable_owner(ref.leaf)
+        return f"{cls}::{ref.leaf}" if cls else ref.leaf
 
     # -- call resolution -----------------------------------------------------
 

@@ -1,7 +1,5 @@
-"""Shared intermediate representation for rocanalyze, plus the lexical
-engine that builds it without a compiler.
-
-Both engines (this one and clang_engine.py) produce the same model:
+"""Intermediate representation for rocanalyze, plus the lexical engine
+that builds it from source text without a compiler:
 
     FileModel
       classes: [ClassInfo]          # classes/structs + a file-scope pseudo
@@ -9,15 +7,12 @@ Both engines (this one and clang_engine.py) produce the same model:
       allows:  {line: {rule, ...}}  # ROCANALYZE-ALLOW(rule): suppressions
     StructLayout                    # per-struct triviality / padding facts
 
-so the rules in rules.py never care which engine parsed the code.
-
-The lexical engine is deliberately conservative: it understands the
-repository's actual idiom (Google style, `roc::MutexLock lock(mu_)`,
+The engine is deliberately conservative: it understands the repository's
+actual idiom (Google style, `roc::MutexLock lock(mu_)`,
 `comm::GateLock lock(*gate_)`, explicit `gate_->lock()/unlock()` pairs,
 `ROC_GUARDED_BY(cap)` on the declaration) rather than arbitrary C++.  Where
-it cannot decide, it stays silent -- the libclang engine exists for
-precision; this one exists so the invariants stay checked on machines
-without libclang (mirroring tools/run_clang_tidy.py's graceful skip).
+it cannot decide, it stays silent; whether the tree compiles at all is the
+compiler's job, in every build.
 """
 
 from __future__ import annotations
@@ -74,8 +69,8 @@ class ReturnView:
 class LockRef:
     """Static identity of a lockable object: the owning class (or
     `<file>:rel` pseudo-class for namespace-level mutexes) plus the member
-    leaf name.  Resolved to a graph node name (the runtime lock name when
-    harvestable, else `Class::leaf`) by callgraph.Program."""
+    leaf name.  Resolved to the graph node name `Class::leaf` by
+    callgraph.Program."""
     cls: str
     leaf: str
 
@@ -141,9 +136,6 @@ class Field:
     is_mutex: bool = False
     is_view: bool = False
     is_owner: bool = False
-    runtime_name: str = ""  # the checker-visible lock name, harvested from
-    #                         the declaration initializer (`Mutex m{"x"}`)
-    #                         or a `set_name("x")` call site
 
 
 @dataclass
@@ -155,9 +147,6 @@ class ClassInfo:
     methods: list = dc_field(default_factory=list)  # [Method]
     hot_decls: set = dc_field(default_factory=set)   # ROC_HOT declarations
     cold_decls: set = dc_field(default_factory=set)  # ROC_COLD declarations
-
-    def field_named(self, name):
-        return self.fields.get(name)
 
 
 @dataclass
@@ -189,8 +178,6 @@ class FileModel:
     classes: list = dc_field(default_factory=list)
     sites: list = dc_field(default_factory=list)
     allows: dict = dc_field(default_factory=dict)  # line -> set(rule ids)
-    set_names: dict = dc_field(default_factory=dict)  # recv leaf ->
-    #                       runtime name from `x->set_name("...")` sites
 
     def allowed(self, line, rule):
         """True when `line` (or the two lines above it) carries an
@@ -370,27 +357,6 @@ def _cls_key(ci):
     """Program-wide key for a ClassInfo: the class name, or a per-file key
     for the `<file>` pseudo-class (namespace-level state is file-local)."""
     return ci.name if ci.name != "<file>" else "<file>:" + ci.file
-
-
-SET_NAME_RE = re.compile(r"(\w+)\s*(?:->|\.)\s*set_name\s*\(\s*\"([^\"]+)\"")
-RUNTIME_NAME_RE_TMPL = r"%s\s*[{(=]\s*[^\"\n]*\"([^\"]+)\""
-
-
-def harvest_runtime_name(f, orig_lines):
-    """Reads the lock name out of the declaration initializer in the
-    ORIGINAL text (`Mutex mu_{"memfile"};`) -- the stripped text the parser
-    works on has string contents blanked."""
-    if not (f.is_mutex or "Gate" in f.type_str):
-        return
-    # Access labels glue to the first declaration of a section, and
-    # declarations wrap, so the reported line can sit a line or two before
-    # the initializer -- scan a short window.
-    pat = re.compile(RUNTIME_NAME_RE_TMPL % re.escape(f.name))
-    for ln in range(max(1, f.line), min(len(orig_lines), f.line + 3) + 1):
-        m = pat.search(orig_lines[ln - 1])
-        if m:
-            f.runtime_name = m.group(1)
-            return
 
 
 # ---------------------------------------------------------------------------
@@ -732,8 +698,6 @@ class LexicalEngine:
     The merge is what lets an out-of-line `Rochdf::write_now` in rochdf.cpp
     be checked against the guards declared in rochdf.h."""
 
-    name = "lexical"
-
     def __init__(self, root, rel_paths):
         self.root = root
         self.rel_paths = rel_paths
@@ -752,7 +716,6 @@ class LexicalEngine:
         for pf in parsed:
             analyze_functions(pf, global_fields)
         models = [pf.fm for pf in parsed]
-        apply_set_names(models)
         structs = build_struct_index(models, self.root)
         return models, structs
 
@@ -771,38 +734,12 @@ def merge_class_fields(parsed):
     return global_fields
 
 
-def apply_set_names(models):
-    """Attaches runtime names harvested from `x->set_name("...")` call
-    sites to the matching lockable fields.  Field objects are shared across
-    the merged per-class views, so one assignment is visible everywhere."""
-    for fm in models:
-        for leaf, rt in fm.set_names.items():
-            for ci in fm.classes:
-                f = ci.fields.get(leaf)
-                if f is not None and not f.runtime_name \
-                        and (f.is_mutex or "Gate" in f.type_str):
-                    f.runtime_name = rt
-
-
-def parse_file(path, rel, text):
-    """Single-file convenience wrapper (no cross-file merge)."""
-    pf = parse_structure(path, rel, text)
-    analyze_functions(pf, merge_class_fields([pf]))
-    apply_set_names([pf.fm])
-    return pf.fm
-
-
 def parse_structure(path, rel, text):
     stripped = strip_comments_and_strings(text)
     fm = FileModel(path=path, rel=rel)
     fm.allows = collect_allows(text)
     extend_allow_spans(fm.allows, stripped)
     tree = build_scope_tree(stripped)
-    # Original lines: runtime lock names live in string literals, which the
-    # stripped text blanks.
-    orig_lines = text.splitlines()
-    for sm in SET_NAME_RE.finditer(text):
-        fm.set_names.setdefault(sm.group(1), sm.group(2))
 
     # File-scope pseudo-class: namespace-level variables + free functions
     # (the log.cpp `g_mutex`/`g_sink` pattern).
@@ -816,19 +753,18 @@ def parse_structure(path, rel, text):
                                line=line_of(stripped, child.start))
                 fm.classes.append(ci)
                 class_of[id(child)] = ci
-                harvest_class(ci, child, stripped, rel, orig_lines)
+                harvest_class(ci, child, stripped, rel)
                 walk(child)
             elif child.kind == "function":
                 pass  # phase 2; local classes inside bodies are ignored
             else:
                 if child.kind == "namespace" and scope.kind in ("root",
                                                                 "namespace"):
-                    harvest_namespace_vars(pseudo, child, stripped, rel,
-                                           orig_lines)
+                    harvest_namespace_vars(pseudo, child, stripped, rel)
                 walk(child)
 
     walk(tree)
-    harvest_namespace_vars(pseudo, tree, stripped, rel, orig_lines)
+    harvest_namespace_vars(pseudo, tree, stripped, rel)
     collect_sites(fm, stripped)
     return ParsedFile(fm, tree, stripped, pseudo, class_of)
 
@@ -931,7 +867,7 @@ def _annotated_decl_name(stmt):
     return ""
 
 
-def harvest_class(ci, scope, stripped, rel, orig_lines=()):
+def harvest_class(ci, scope, stripped, rel):
     for stmt, line in class_level_statements(scope, stripped):
         if HOT_ANNOT_RE.search(stmt):
             nm = _annotated_decl_name(stmt)
@@ -944,20 +880,18 @@ def harvest_class(ci, scope, stripped, rel, orig_lines=()):
         f = parse_field_decl(stmt, line)
         if f and f.name not in ci.fields:
             f.decl_file = rel
-            harvest_runtime_name(f, orig_lines)
             ci.fields[f.name] = f
     # Inline methods are child function scopes; analyze_functions
     # dispatches them via harvest_method with this class on the stack.
 
 
-def harvest_namespace_vars(pseudo, scope, stripped, rel, orig_lines=()):
+def harvest_namespace_vars(pseudo, scope, stripped, rel):
     for stmt, line in class_level_statements(scope, stripped):
         f = parse_field_decl(stmt, line)
         # Only track namespace-level state relevant to locking: mutexes and
         # explicitly guarded variables (keeps globals noise out).
         if f and (f.is_mutex or f.guarded_by) and f.name not in pseudo.fields:
             f.decl_file = rel
-            harvest_runtime_name(f, orig_lines)
             pseudo.fields[f.name] = f
 
 

@@ -187,7 +187,7 @@ class Analysis:
 
     def _add_edge(self, frm, to, file, line, chain):
         if frm == to:
-            return  # recursive re-acquisition: the runtime skips these too
+            return  # recursion (-Wthread-safety rejects it) or two instances
         self.edges.setdefault((frm, to), EdgeInfo(file, line, chain))
 
     def _build_edges(self):

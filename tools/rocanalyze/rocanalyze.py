@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """rocanalyze: whole-repo semantic analysis of rocpio-specific invariants.
 
-Seven rule families (see rules.py for the full catalogue):
+Ten rule families (see rules.py for the full catalogue):
 
   R1 buffer-lifetime      stored/returned borrowing views (ConstBuffer,
                           WireBlockView, std::string_view) must have a
@@ -44,29 +44,21 @@ Seven rule families (see rules.py for the full catalogue):
                           roots (stdio, to_text/to_json, trace-file
                           writers, log emission).
 
-Engines:
-  * libclang (python clang.cindex over build/compile_commands.json) when
-    available -- precise types, scopes and lock tracking;
-  * a built-in lexical engine otherwise -- same rules over a conservative
-    structural parse, so the invariants stay enforced on machines without
-    libclang (this mirrors tools/run_clang_tidy.py's graceful degrade).
+The model is built from source text alone (cxxmodel.LexicalEngine: a
+conservative structural parse of the repository's own idiom), so the
+analyzer needs no compiler, build tree or compilation database.
 
-Findings are diffed against tools/rocanalyze/baseline.json by fingerprint
-(rule + file + symbol, line-independent).  New findings fail the run; the
-committed baseline must justify every entry.  Inline suppression:
+Every finding fails the run.  The one way to accept a finding is an inline
+suppression with its reason, on the finding line or up to two lines above
+it (tools/lint.py rule `analyzer-allow` rejects one without a `why:`):
 
-    // ROCANALYZE-ALLOW(rule-id): reason
-
-on the finding line or up to two lines above it.
+    // ROCANALYZE-ALLOW(rule-id): why: reason
 
 Usage:
-  tools/rocanalyze/rocanalyze.py [--root DIR] [--build-dir DIR]
-      [--engine auto|libclang|lexical] [--rules r1,r2-...] [--strict]
-      [--baseline FILE | --no-baseline] [--update-baseline]
-      [--out findings.json] [--paths file...] [-q]
+  tools/rocanalyze/rocanalyze.py [--root DIR] [--rules r1,r2-...]
+      [--hot-report-out FILE] [--out findings.json] [--paths file...] [-q]
 
-Exit status: 0 clean (or engine skip), 1 new findings (or, with --strict,
-stale/unjustified baseline entries), 2 usage/environment error.
+Exit status: 0 clean, 1 findings, 2 usage error.
 """
 
 from __future__ import annotations
@@ -87,9 +79,6 @@ from rules import ALL_RULES, run_rules  # noqa: E402
 SOURCE_DIRS = ("src",)
 CXX_EXTENSIONS = (".h", ".hpp", ".cpp", ".cc")
 
-DEFAULT_BASELINE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                "baseline.json")
-
 
 def iter_source_files(root):
     for d in SOURCE_DIRS:
@@ -105,7 +94,7 @@ def iter_source_files(root):
 
 def expand_rules(spec):
     """Expands `r1,r2-unannotated` style specs: a bare family prefix
-    (r1..r4) selects every rule in the family."""
+    (r1..r10) selects every rule in the family."""
     out = []
     for tok in (t.strip() for t in spec.split(",")):
         if not tok:
@@ -121,69 +110,19 @@ def expand_rules(spec):
     return out, None
 
 
-def load_baseline(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        return {}
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"rocanalyze: cannot read baseline {path}: {e}",
-              file=sys.stderr)
-        sys.exit(2)
-    entries = {}
-    for e in data.get("findings", []):
-        entries[e["fingerprint"]] = e
-    return entries
-
-
-def make_engine(args, root, rel_paths):
-    """Returns (engine, notice).  engine is None when an explicitly
-    requested libclang engine is unavailable (graceful skip)."""
-    if args.engine == "lexical":
-        return LexicalEngine(root, rel_paths), ""
-    try:
-        import clang_engine
-        eng = clang_engine.ClangEngine(root, rel_paths, args.build_dir)
-        return eng, ""
-    except Exception as e:  # libclang missing, no compile db, bad version
-        reason = str(e).splitlines()[0] if str(e) else type(e).__name__
-        if args.engine == "libclang":
-            return None, reason
-        return LexicalEngine(root, rel_paths), reason
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", default=os.path.dirname(os.path.dirname(
         os.path.dirname(os.path.abspath(__file__)))),
         help="repository root (default: grandparent of this file)")
-    ap.add_argument("--build-dir", default="build",
-                    help="directory holding compile_commands.json "
-                         "(libclang engine)")
-    ap.add_argument("--engine", choices=("auto", "libclang", "lexical"),
-                    default="auto",
-                    help="auto prefers libclang and degrades to the "
-                         "lexical engine; libclang skips (exit 0) when "
-                         "unavailable")
     ap.add_argument("--rules", default="r1,r2,r3,r4,r5,r6,r7,r8,r9,r10",
                     help="comma-separated rule ids or family prefixes "
                          f"(families r1..r10; ids: {', '.join(ALL_RULES)})")
-    ap.add_argument("--strict", action="store_true",
-                    help="also fail on stale baseline entries and on "
-                         "entries whose justification lacks a `why:` tag")
     ap.add_argument("--hot-report-out", default="",
                     help="write the R8 hot-closure witness report as JSON "
                          "(roots, hot-reachable functions with chains and "
                          "allocation sites; consumed by "
                          "tools/check_alloc_subset.py)")
-    ap.add_argument("--baseline", default=DEFAULT_BASELINE,
-                    help="baseline file (default: committed baseline.json)")
-    ap.add_argument("--no-baseline", action="store_true",
-                    help="report every finding (fixture/self-test mode)")
-    ap.add_argument("--update-baseline", action="store_true",
-                    help="rewrite the baseline with the current findings "
-                         "(justifications of kept entries are preserved)")
     ap.add_argument("--out", default="",
                     help="write findings as JSON to this path")
     ap.add_argument("--paths", nargs="*", default=None,
@@ -212,31 +151,7 @@ def main(argv=None):
         print("rocanalyze: nothing to analyze", file=sys.stderr)
         return 2
 
-    engine, notice = make_engine(args, root, rel_paths)
-    if engine is None:
-        print(f"rocanalyze: libclang engine unavailable ({notice}) -- "
-              f"skipping (install python3-clang + libclang and configure "
-              f"with -DCMAKE_EXPORT_COMPILE_COMMANDS=ON, or use "
-              f"--engine auto for the lexical fallback)")
-        return 0
-    if notice and not args.quiet:
-        print(f"rocanalyze: libclang unavailable ({notice}); using the "
-              f"built-in lexical engine")
-
-    try:
-        models, structs = engine.build()
-    except Exception as e:
-        if engine.name == "libclang" and args.engine == "auto":
-            # A half-broken libclang install must not take the gate down:
-            # degrade to the lexical engine, loudly.
-            print(f"rocanalyze: libclang engine failed ({e}); falling back "
-                  f"to the lexical engine", file=sys.stderr)
-            engine = LexicalEngine(root, rel_paths)
-            models, structs = engine.build()
-        else:
-            print(f"rocanalyze: engine {engine.name} failed: {e}",
-                  file=sys.stderr)
-            return 2
+    models, structs = LexicalEngine(root, rel_paths).build()
 
     from rules import ALLOC_RULES, INTERPROC_RULES
     analysis = None
@@ -258,66 +173,18 @@ def main(argv=None):
             fh.write("\n")
 
     if args.out:
-        payload = {"engine": engine.name, "rules": rules,
+        payload = {"rules": rules,
                    "findings": [f.to_json() for f in findings]}
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
 
-    if args.update_baseline:
-        old = load_baseline(args.baseline)
-        entries = []
-        for f in findings:
-            e = f.to_json()
-            del e["line"]  # lines drift; fingerprints do not
-            e["justification"] = old.get(f.fingerprint, {}).get(
-                "justification", "")
-            entries.append(e)
-        with open(args.baseline, "w", encoding="utf-8") as fh:
-            json.dump({"version": 1,
-                       "comment": "Accepted rocanalyze findings.  Every "
-                                  "entry MUST carry a justification; "
-                                  "--strict enforces it.",
-                       "findings": entries}, fh, indent=2)
-            fh.write("\n")
-        print(f"rocanalyze: baseline updated with {len(entries)} entr"
-              f"{'y' if len(entries) == 1 else 'ies'}")
-        return 0
-
-    baseline = {} if args.no_baseline else load_baseline(args.baseline)
-    new = [f for f in findings if f.fingerprint not in baseline]
-    known = [f for f in findings if f.fingerprint in baseline]
-
-    for f in new:
+    for f in findings:
         print(f)
-    rc = 1 if new else 0
-
-    if args.strict and not args.no_baseline:
-        stale = [fp for fp in baseline
-                 if fp not in {f.fingerprint for f in findings}]
-        unjustified = [fp for fp, e in baseline.items()
-                       if "why:" not in e.get("justification", "")]
-        for fp in stale:
-            e = baseline[fp]
-            print(f"rocanalyze: stale baseline entry {fp} "
-                  f"({e.get('rule', '?')} {e.get('file', '?')} "
-                  f"{e.get('symbol', '?')}): the finding no longer "
-                  f"exists -- remove it (--update-baseline)")
-        for fp in unjustified:
-            e = baseline[fp]
-            print(f"rocanalyze: baseline entry {fp} "
-                  f"({e.get('rule', '?')} {e.get('file', '?')}) has no "
-                  f"`why:` justification -- explain it (justification: "
-                  f"\"why: ...\") or fix the code")
-        if stale or unjustified:
-            rc = 1
-
     if not args.quiet:
-        status = "clean" if rc == 0 else f"{len(new)} new finding(s)"
-        print(f"rocanalyze[{engine.name}]: {len(rel_paths)} file(s), "
-              f"{len(findings)} finding(s) "
-              f"({len(known)} baselined) -- {status}")
-    return rc
+        status = f"{len(findings)} finding(s)" if findings else "clean"
+        print(f"rocanalyze: {len(rel_paths)} file(s) -- {status}")
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

@@ -3,8 +3,8 @@
 
 Each rule family is exercised against its planted-violation fixture in
 tools/rocanalyze/fixtures/ (every expected rule id must fire, and nothing
-else), the real tree must analyze clean, and the baseline / suppression /
-graceful-skip mechanics are covered.  Run directly or via ctest
+else), the real tree must analyze clean, and the exit status and inline
+suppression mechanics are covered.  Run directly or via ctest
 (`rocanalyze_selftest`).
 """
 
@@ -47,8 +47,7 @@ def analyze(paths, *extra):
         out = tf.name
     try:
         rc, stdout, stderr = run_driver(
-            "--root", ROOT, "--engine", "lexical", "--no-baseline", "-q",
-            "--out", out, "--paths", *paths, *extra)
+            "--root", ROOT, "-q", "--out", out, "--paths", *paths, *extra)
         with open(out, encoding="utf-8") as fh:
             findings = json.load(fh)["findings"]
     finally:
@@ -528,6 +527,9 @@ class Nested {
         msg = findings[0]["message"]
         self.assertIn("transfer_forward", msg)
         self.assertIn("transfer_reverse", msg)
+        # Lock nodes are named by their Class::member declaration.
+        self.assertIn("LedgerPair::mu_source_", msg)
+        self.assertIn("LedgerPair::mu_dest_", msg)
 
     def test_r6_finding_carries_the_full_call_chain(self):
         _, findings, _, _ = analyze(
@@ -554,78 +556,18 @@ class Nested {
                            "engine_->submit(view, pin, cursor_);")
 
 
-class TestBaselineFlow(unittest.TestCase):
-    def setUp(self):
-        self.dir = tempfile.mkdtemp(prefix="rocanalyze_test_")
-        self.addCleanup(shutil.rmtree, self.dir, ignore_errors=True)
-        self.baseline = os.path.join(self.dir, "baseline.json")
-        self.fixture = os.path.join(FIXTURES, "r3_hookless_shared.cpp")
-
-    def drive(self, *extra):
-        return run_driver("--root", ROOT, "--engine", "lexical",
-                          "--baseline", self.baseline,
-                          "--paths", self.fixture, *extra)
-
-    def test_update_then_rerun_is_clean_and_strict_wants_justification(self):
-        rc, _, _ = self.drive("--update-baseline")
-        self.assertEqual(rc, 0)
-        rc, _, _ = self.drive()
-        self.assertEqual(rc, 0, "baselined findings must not fail the run")
-        rc, out, _ = self.drive("--strict")
-        self.assertEqual(rc, 1, "--strict rejects unjustified entries")
-        self.assertIn("justification", out)
-        with open(self.baseline, encoding="utf-8") as fh:
-            data = json.load(fh)
-        for e in data["findings"]:
-            e["justification"] = "why: accepted for the self-test"
-        with open(self.baseline, "w", encoding="utf-8") as fh:
-            json.dump(data, fh)
-        rc, _, _ = self.drive("--strict")
-        self.assertEqual(rc, 0)
-
-    def test_strict_flags_stale_entries(self):
-        self.drive("--update-baseline")
-        rc, out, _ = run_driver(
-            "--root", ROOT, "--engine", "lexical",
-            "--baseline", self.baseline, "--strict",
-            "--paths", os.path.join(FIXTURES, "r1_dangling_view.cpp"))
-        self.assertEqual(rc, 1)
-        self.assertIn("stale", out)
-
-
-class TestTreeAndEngines(unittest.TestCase):
-    def test_real_tree_is_clean_in_strict_mode(self):
-        rc, out, err = run_driver("--root", ROOT, "--strict")
+class TestDriver(unittest.TestCase):
+    def test_real_tree_is_clean(self):
+        rc, out, err = run_driver("--root", ROOT)
         self.assertEqual(rc, 0, f"tree not clean:\n{out}\n{err}")
 
-    def test_explicit_libclang_engine_skips_when_unavailable(self):
-        try:
-            import clang.cindex  # noqa: F401
-            import clang_engine
-            clang_engine.load_cindex()
-            have_libclang = True
-        except Exception:
-            have_libclang = False
-        if have_libclang:
-            self.skipTest("libclang present: skip path not reachable")
-        rc, out, _ = run_driver("--root", ROOT, "--engine", "libclang")
-        self.assertEqual(rc, 0)
-        self.assertIn("skipping", out)
-
-    def test_libclang_engine_matches_lexical_when_available(self):
-        try:
-            sys.path.insert(0, HERE)
-            import clang_engine
-            clang_engine.load_cindex()
-        except Exception:
-            self.skipTest("libclang not installed")
-        if not os.path.exists(
-                os.path.join(ROOT, "build", "compile_commands.json")):
-            self.skipTest("no compilation database")
-        rc_c, out_c, err_c = run_driver("--root", ROOT,
-                                        "--engine", "libclang", "--strict")
-        self.assertEqual(rc_c, 0,
-                         f"libclang engine diverged:\n{out_c}\n{err_c}")
+    def test_any_finding_fails_the_run(self):
+        # No flag accepts a finding: only an inline ALLOW does.
+        rc, out, _ = run_driver(
+            "--root", ROOT,
+            "--paths", os.path.join(FIXTURES, "r3_hookless_shared.cpp"))
+        self.assertEqual(rc, 1)
+        self.assertIn("r3-missing-hook", out)
 
 
 if __name__ == "__main__":

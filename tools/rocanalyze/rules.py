@@ -1,4 +1,4 @@
-"""rocanalyze rules R1-R4 over the engine-independent model.
+"""rocanalyze rules R1-R4 over the cxxmodel IR.
 
 Rule ids (each finding carries one):
 
@@ -102,8 +102,9 @@ class Finding:
 
     @property
     def fingerprint(self):
-        # Line numbers are deliberately excluded so the baseline survives
-        # unrelated edits above the finding.
+        # Line numbers are deliberately excluded so a finding keeps its
+        # identity (run_rules deduplicates on it) across unrelated edits
+        # above it.
         key = "|".join((self.rule, self.file, self.cls, self.symbol))
         return hashlib.sha1(key.encode()).hexdigest()[:16]
 
