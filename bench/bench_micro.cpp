@@ -204,8 +204,7 @@ BENCHMARK(BM_WireMarshalCopy)->Arg(16)->Arg(48);
 /// the pool gather is the single permitted copy.  One untimed op warms the
 /// pool and the chain's segment list; the steady state after it must
 /// charge zero heap allocations per op — allocs_per_op is the runtime
-/// face of rocanalyze R8, gated at exactly 0 by tools/bench_compare.py
-/// (in a ROCPIO_CHECK build; the stub counter reads 0 otherwise).
+/// face of rocanalyze R8, gated at exactly 0 by tools/bench_compare.py.
 void BM_WireMarshalChain(benchmark::State& state) {
   const auto b = marshal_block(static_cast<int>(state.range(0)));
   BufferPool pool;

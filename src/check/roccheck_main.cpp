@@ -2,7 +2,7 @@
 /// \brief Seed-sweep driver for the concurrency checker.
 ///
 ///   roccheck --scenario NAME --seeds N [--seed BASE] [--out DIR]
-///            [--expect-race] [--preempt P] [--alloc-report-out PATH]
+///            [--expect-race] [--preempt P]
 ///
 /// Runs NAME under seeds BASE..BASE+N-1, one fresh Session + Explorer per
 /// seed.  Any finding (or scenario failure) prints the seed that produced
@@ -19,7 +19,6 @@
 #include <iostream>
 #include <string>
 
-#include "check/alloc_hook.h"
 #include "check/checker.h"
 #include "check/explorer.h"
 #include "check/scenarios.h"
@@ -31,7 +30,6 @@ struct Args {
   uint64_t seeds = 1;
   uint64_t base_seed = 1;
   std::string out_dir;
-  std::string alloc_report_out;
   bool expect_race = false;
   double preempt = 0.125;
 };
@@ -39,7 +37,7 @@ struct Args {
 [[noreturn]] void usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " --scenario NAME --seeds N [--seed BASE] [--out DIR]"
-               " [--expect-race] [--preempt P] [--alloc-report-out PATH]"
+               " [--expect-race] [--preempt P]"
                "\n  scenarios:";
   for (const auto& n : roc::check::scenario_names()) std::cerr << " " << n;
   std::cerr << "\n";
@@ -62,8 +60,6 @@ Args parse(int argc, char** argv) {
       a.base_seed = std::strtoull(value().c_str(), nullptr, 10);
     } else if (arg == "--out") {
       a.out_dir = value();
-    } else if (arg == "--alloc-report-out") {
-      a.alloc_report_out = value();
     } else if (arg == "--expect-race") {
       a.expect_race = true;
     } else if (arg == "--preempt") {
@@ -106,23 +102,6 @@ void dump(const Args& a, uint64_t seed, const RunOutput& out) {
 
 }  // namespace
 
-/// Flushes the interposer's alloc-scope registry (when requested).
-/// Called on every main() exit path so partial sweeps still leave
-/// inspectable artifacts.
-int finish(const Args& a, int rc) {
-  if (!a.alloc_report_out.empty()) {
-    if (!roc::check::write_alloc_report(a.alloc_report_out)) {
-      std::cerr << "roccheck: cannot write " << a.alloc_report_out << "\n";
-      return rc == 0 ? 2 : rc;
-    }
-    std::cout << "roccheck: runtime alloc report ("
-              << roc::check::alloc_registry_snapshot().size()
-              << " scope label(s)) written to " << a.alloc_report_out
-              << "\n";
-  }
-  return rc;
-}
-
 int main(int argc, char** argv) {
   const Args a = parse(argc, argv);
 
@@ -134,7 +113,7 @@ int main(int argc, char** argv) {
     } catch (const std::exception& e) {
       std::cerr << "roccheck: scenario=" << a.scenario << " seed=" << seed
                 << " crashed: " << e.what() << "\n";
-      return finish(a, 2);
+      return 2;
     }
 
     const bool findings = !out.report.empty();
@@ -145,7 +124,7 @@ int main(int argc, char** argv) {
                 << out.report
                 << "replay: roccheck --scenario " << a.scenario << " --seed "
                 << seed << " --seeds 1 --preempt " << a.preempt << "\n";
-      return finish(a, 1);
+      return 1;
     }
 
     if (findings && !a.expect_race) {
@@ -154,7 +133,7 @@ int main(int argc, char** argv) {
                 << out.report << "replay: roccheck --scenario " << a.scenario
                 << " --seed " << seed << " --seeds 1 --preempt " << a.preempt
                 << "\n";
-      return finish(a, 1);
+      return 1;
     }
 
     if (findings && a.expect_race) {
@@ -164,13 +143,13 @@ int main(int argc, char** argv) {
       if (replay.report != out.report || replay.trace != out.trace) {
         std::cerr << "roccheck: scenario=" << a.scenario << " seed=" << seed
                   << " REPLAY DIVERGED (nondeterministic schedule)\n";
-        return finish(a, 1);
+        return 1;
       }
       std::cout << "roccheck: scenario=" << a.scenario << " seed=" << seed
                 << " caught the planted race after " << (i + 1)
                 << " seed(s); replay deterministic\n"
                 << out.report;
-      return finish(a, 0);
+      return 0;
     }
   }
 
@@ -178,9 +157,9 @@ int main(int argc, char** argv) {
     std::cerr << "roccheck: scenario=" << a.scenario << ": NO seed in ["
               << a.base_seed << ", " << (a.base_seed + a.seeds)
               << ") found the planted race\n";
-    return finish(a, 1);
+    return 1;
   }
   std::cout << "roccheck: scenario=" << a.scenario << ": " << a.seeds
             << " seed(s) clean (base " << a.base_seed << ")\n";
-  return finish(a, 0);
+  return 0;
 }

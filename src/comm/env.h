@@ -32,7 +32,7 @@ namespace roc::comm {
 /// are declared ROC_GUARDED_BY(gate_) and Clang Thread Safety Analysis
 /// verifies every access happens with the gate held.  The public methods
 /// are non-virtual wrappers that carry the annotations and the concurrency
-/// checker's hooks (ROCPIO_CHECK); implementations (RealGate, SimGate)
+/// checker's hooks (util/check_hooks.h); implementations (RealGate, SimGate)
 /// override the protected do_* primitives.  The hooks matter even for
 /// SimGate, whose do_lock/do_unlock are no-ops under cooperative
 /// scheduling: the checker still needs the gate's release->acquire

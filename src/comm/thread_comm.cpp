@@ -23,9 +23,7 @@ struct Envelope {
   SharedBuffer payload;
   /// Sender's causal context, delivered in Message::ctx (trace stitching).
   telemetry::TraceContext ctx;
-#if defined(ROCPIO_CHECK)
   uint64_t check_token = 0;  ///< Carries the sender's clock to the receiver.
-#endif
 };
 
 /// Per-process mailbox: FIFO of envelopes + wakeup signalling.
@@ -84,10 +82,8 @@ void ThreadComm::send(int dest, int tag, SharedBuffer buf) {
   e.tag = tag;
   e.payload = std::move(buf);  // reference enqueue: no byte copy
   e.ctx = telemetry::current_trace_context();
-#if defined(ROCPIO_CHECK)
   e.check_token = check::next_token();
   ROC_CHECKHOOK_(packet_send(e.check_token));
-#endif
   {
     roc::MutexLock lock(box.mutex);
     // Mailbox ring growth is the transport's amortised cost: deque chunks
@@ -123,10 +119,8 @@ Message ThreadComm::recv(int source, int tag) {
       m.tag = it->tag;
       m.payload = std::move(it->payload);
       m.ctx = it->ctx;
-#if defined(ROCPIO_CHECK)
       const uint64_t token = it->check_token;
       ROC_CHECKHOOK_(packet_recv(token));
-#endif
       box.queue.erase(it);
       return m;
     }

@@ -84,10 +84,8 @@ void SimComm::send(int dest, int tag, SharedBuffer buf) {
   const size_t n = buf.size();
   e.payload = std::move(buf);
   e.ctx = telemetry::current_trace_context();
-#if defined(ROCPIO_CHECK)
   e.check_token = check::next_token();
   ROC_CHECKHOOK_(packet_send(e.check_token));
-#endif
 
   const double end = world_->transfer_end(src_world, dst_world, n);
   world_->deliver_at(end, dst_world, std::move(e));
@@ -108,10 +106,8 @@ comm::Message SimComm::recv(int source, int tag) {
       m.tag = it->tag;
       m.payload = std::move(it->payload);
       m.ctx = it->ctx;
-#if defined(ROCPIO_CHECK)
       const uint64_t token = it->check_token;
       ROC_CHECKHOOK_(packet_recv(token));
-#endif
       my_mailbox().queue.erase(it);
       return m;
     }

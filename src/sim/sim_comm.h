@@ -48,9 +48,7 @@ class SimWorld {
     SharedBuffer payload;  // roc::SharedBuffer; reference-shipped, immutable
     /// Sender's causal context, delivered in Message::ctx (trace stitching).
     telemetry::TraceContext ctx;
-#if defined(ROCPIO_CHECK)
     uint64_t check_token = 0;  ///< Carries the sender's clock (checker HB).
-#endif
   };
 
   struct Mailbox {

@@ -180,13 +180,11 @@ void Simulation::start_process_thread(Process* p) {
 void Simulation::finish_process(Process* p) {
   // Runs on the process thread while it still holds control: exclusive
   // access to simulation state is guaranteed.
-#if defined(ROCPIO_CHECK)
   // Publish this process's clock so join_aux() can pick it up: the
   // semaphore handoff that delivers the join wake-up is scheduler
   // machinery, deliberately not a happens-before edge.
   p->finish_token = check::next_token();
   ROC_CHECKHOOK_(packet_send(p->finish_token));
-#endif
   p->finished = true;
   for (Process* w : p->join_waiters) wake(w, now_);
   p->join_waiters.clear();
@@ -268,11 +266,9 @@ void Simulation::join_aux(Process* caller, Process* target) {
     yield_to_scheduler(caller);
   }
   if (target->thread.joinable()) target->thread.join();
-#if defined(ROCPIO_CHECK)
   if (target->finish_token != 0) {
     ROC_CHECKHOOK_(packet_recv(target->finish_token));
   }
-#endif
 }
 
 void Simulation::run() {

@@ -93,9 +93,9 @@ BufferPool::BufferPool(size_t max_per_bucket)
 
 std::vector<unsigned char> BufferPool::acquire(size_t n) {
   // The sanctioned channel (DESIGN.md copy discipline): a cold-start miss
-  // allocates, steady state recycles.  Exempt so hot ROC_ASSERT_NO_ALLOC
-  // scopes are never charged for pool warm-up -- mirrored by the static
-  // analyzer's CHANNEL_METHODS leaf set (tools/rocanalyze/allocsum.py).
+  // allocates, steady state recycles.  Exempt so the interposer's charged
+  // counter never bills pool warm-up -- mirrored by the static analyzer's
+  // CHANNEL_METHODS leaf set (tools/rocanalyze/allocsum.py).
   ROC_ALLOC_EXEMPT();
   const size_t b = detail::bucket_of(n);
   if (b < detail::kPoolBuckets) {

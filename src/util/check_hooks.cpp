@@ -1,7 +1,5 @@
 #include "util/check_hooks.h"
 
-#if defined(ROCPIO_CHECK)
-
 namespace roc::check {
 
 namespace detail {
@@ -21,5 +19,3 @@ uint64_t next_token() {
 }
 
 }  // namespace roc::check
-
-#endif  // ROCPIO_CHECK

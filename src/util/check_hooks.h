@@ -8,23 +8,17 @@
 /// at every happens-before-relevant event; hot shared structures mark
 /// their accesses with ROC_CHECK_SHARED_READ / ROC_CHECK_SHARED_WRITE.
 ///
-/// When built with -DROCPIO_CHECK=OFF the macros expand to nothing and
-/// this header contributes zero code to the hot path.  When ON but no checker
-/// session is installed, each hook is one relaxed atomic load and a
-/// branch.
+/// With no checker session installed, each hook is one relaxed atomic
+/// load and a branch.
 ///
 /// This header is deliberately dependency-free (usable from util, comm,
 /// sim and the I/O libraries without cycles).
 
-#if defined(ROCPIO_CHECK)
 #include <atomic>
 #include <cstdint>
 #include <source_location>
-#endif
 
 namespace roc::check {
-
-#if defined(ROCPIO_CHECK)
 
 /// Event sink installed by check::Session (src/check/checker.h).  All
 /// methods may be called concurrently from any thread; implementations
@@ -93,22 +87,5 @@ uint64_t next_token();
                                std::source_location::current().file_name(),   \
                                std::source_location::current().line()))
 #define ROC_CHECK_PREEMPT(kind) ROC_CHECKHOOK_(preemption_point(kind))
-
-#else  // !ROCPIO_CHECK
-
-#define ROC_CHECKHOOK_(stmt) \
-  do {                       \
-  } while (0)
-#define ROC_CHECK_SHARED_READ(cell, what) \
-  do {                                    \
-  } while (0)
-#define ROC_CHECK_SHARED_WRITE(cell, what) \
-  do {                                     \
-  } while (0)
-#define ROC_CHECK_PREEMPT(kind) \
-  do {                          \
-  } while (0)
-
-#endif  // ROCPIO_CHECK
 
 }  // namespace roc::check

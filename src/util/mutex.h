@@ -19,10 +19,10 @@
 ///    declaration; TSan's lock-order-inversion detector catches inversions
 ///    at run time.
 ///
-/// The wrappers also carry the concurrency checker's hooks (ROCPIO_CHECK),
-/// which give the race detector its release->acquire happens-before edges.
-/// Without ROCPIO_CHECK every method is a one-line inline forward to
-/// `std::mutex`.
+/// The wrappers also carry the concurrency checker's hooks
+/// (util/check_hooks.h), which give the race detector its release->acquire
+/// happens-before edges.  With no checker session installed each hook is
+/// one relaxed atomic load and a branch in front of the `std::mutex` call.
 
 #include <chrono>
 #include <condition_variable>

@@ -3,7 +3,6 @@
 namespace roc {
 
 Thread::Thread(std::function<void()> body) {
-#if defined(ROCPIO_CHECK)
   const uint64_t spawn_token = check::next_token();
   finish_token_ = check::next_token();
   const uint64_t finish_token = finish_token_;
@@ -13,19 +12,14 @@ Thread::Thread(std::function<void()> body) {
     fn();
     ROC_CHECKHOOK_(packet_send(finish_token));
   });
-#else
-  t_ = std::thread(std::move(body));
-#endif
 }
 
 Thread& Thread::operator=(Thread&& other) noexcept {
   if (this != &other) {
     if (t_.joinable()) t_.join();
     t_ = std::move(other.t_);
-#if defined(ROCPIO_CHECK)
     finish_token_ = other.finish_token_;
     other.finish_token_ = 0;
-#endif
   }
   return *this;
 }
@@ -36,12 +30,10 @@ Thread::~Thread() {
 
 void Thread::join() {
   t_.join();
-#if defined(ROCPIO_CHECK)
   if (finish_token_ != 0) {
     ROC_CHECKHOOK_(packet_recv(finish_token_));
     finish_token_ = 0;
   }
-#endif
 }
 
 void Thread::abandon() { t_.detach(); }  // LINT-ALLOW(raw-thread): shim

@@ -5,7 +5,7 @@
 /// A thin wrapper over std::thread (this file and src/sim/platform.* are
 /// the allowlisted raw users; lint rule `raw-thread` bans std::thread
 /// everywhere else).  Beyond funnelling thread creation through one
-/// place, the wrapper gives the concurrency checker (ROCPIO_CHECK) its
+/// place, the wrapper gives the concurrency checker (src/check) its
 /// thread-lifetime happens-before edges for free:
 ///
 ///   * spawn:  creator's vector clock is published under a token before
@@ -14,8 +14,7 @@
 ///     acquires it after the underlying join returns.
 ///
 /// Without a checker session installed the overhead is two relaxed
-/// atomic counter bumps per thread; with ROCPIO_CHECK=OFF it is exactly
-/// a std::thread.
+/// atomic counter bumps per thread.
 
 #include <functional>
 #include <thread>  // LINT-ALLOW(raw-thread): wrapper implementation
@@ -56,9 +55,7 @@ class Thread {
 
  private:
   std::thread t_;  // LINT-ALLOW(raw-thread): wrapper implementation
-#if defined(ROCPIO_CHECK)
   uint64_t finish_token_ = 0;
-#endif
 };
 
 }  // namespace roc

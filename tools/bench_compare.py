@@ -44,10 +44,11 @@ from collections import defaultdict
 
 # Benchmarks whose allocs_per_op counter must be EXACTLY zero -- the
 # runtime face of rocanalyze R8 (hot-path allocation discipline), measured
-# by the operator-new interposer in a ROCPIO_CHECK build.  This is an
+# by the operator-new interposer bench_micro always links.  This is an
 # absolute gate, not a baseline ratio: one charged allocation per op is a
-# regression no matter what the committed snapshot says.  In a stub build
-# (ROCPIO_CHECK=OFF) the counter is absent and gates nothing.
+# regression no matter what the committed snapshot says.  A ZERO_ALLOC
+# benchmark that ran without its counter fails the gate too: the
+# interposer was not linked, so nothing was measured.
 ZERO_ALLOC = ("BM_WireMarshalChain", "BM_BlockShipZeroCopy",
               "BM_ServerWritePassThrough")
 
@@ -166,18 +167,17 @@ def compare_pairs(base, cand, threshold, kind="google-benchmark"):
 
 def check_zero_alloc(cand):
     """Absolute allocs_per_op == 0 gate over the ZERO_ALLOC benchmarks."""
-    keys = sorted(k for k in cand if k.endswith(":allocs_per_op") and
-                  k.split("/")[0] in ZERO_ALLOC)
-    if not keys:
-        print("bench_compare: no allocs_per_op counters in candidate "
-              "(stub build?); zero-alloc gate skipped")
-        return 0
     failures = 0
-    for key in keys:
-        v = cand[key]
-        status = "ok" if v == 0 else "REGRESSION"
+    for name in sorted(k for k in cand if ":" not in k and
+                       k.split("/")[0] in ZERO_ALLOC):
+        v = cand.get(name + ":allocs_per_op")
+        if v is None:
+            print(f"  {name}: no allocs_per_op counter (interposer not "
+                  f"linked?) REGRESSION")
+        else:
+            status = "ok" if v == 0 else "REGRESSION"
+            print(f"  {name}:allocs_per_op: {v:g} (must be 0) {status}")
         failures += v != 0
-        print(f"  {key}: {v:g} (must be 0) {status}")
     return 1 if failures else 0
 
 

@@ -31,10 +31,11 @@ Ten rule families (see rules.py for the full catalogue):
   R8 hot-path allocation  nothing reachable from a ROC_HOT root may
                           allocate outside the sanctioned BufferPool
                           channel or an explicit ROC_COLD branch; findings
-                          carry the witness chain from the root.
-                          --hot-report-out exports the closure; roccheck's
-                          alloc interposer cross-validates it
-                          (static ⊇ dynamic, tools/check_alloc_subset.py).
+                          carry the witness chain from the root.  The
+                          dynamic catcher beside it is the operator new
+                          interposer (src/check/alloc_hook.h), diffed
+                          around steady-state operations by
+                          tests/alloc_test.cpp and bench_micro.
   R9 copy discipline      by-value SharedBuffer / BufferChain /
                           std::function parameters must be moved into
                           their final home, and ConstBuffer borrows must
@@ -56,7 +57,7 @@ it (tools/lint.py rule `analyzer-allow` rejects one without a `why:`):
 
 Usage:
   tools/rocanalyze/rocanalyze.py [--root DIR] [--rules r1,r2-...]
-      [--hot-report-out FILE] [--out findings.json] [--paths file...] [-q]
+      [--out findings.json] [--paths file...] [-q]
 
 Exit status: 0 clean, 1 findings, 2 usage error.
 """
@@ -118,11 +119,6 @@ def main(argv=None):
     ap.add_argument("--rules", default="r1,r2,r3,r4,r5,r6,r7,r8,r9,r10",
                     help="comma-separated rule ids or family prefixes "
                          f"(families r1..r10; ids: {', '.join(ALL_RULES)})")
-    ap.add_argument("--hot-report-out", default="",
-                    help="write the R8 hot-closure witness report as JSON "
-                         "(roots, hot-reachable functions with chains and "
-                         "allocation sites; consumed by "
-                         "tools/check_alloc_subset.py)")
     ap.add_argument("--out", default="",
                     help="write findings as JSON to this path")
     ap.add_argument("--paths", nargs="*", default=None,
@@ -159,18 +155,13 @@ def main(argv=None):
         import lockset
         analysis = lockset.analyze(models)
     alloc_analysis = None
-    if any(r in rules for r in ALLOC_RULES) or args.hot_report_out:
+    if any(r in rules for r in ALLOC_RULES):
         import allocsum
         alloc_analysis = allocsum.analyze(
             models, analysis.prog if analysis is not None else None)
 
     findings = run_rules(models, structs, rules=rules, analysis=analysis,
                          alloc_analysis=alloc_analysis)
-
-    if args.hot_report_out:
-        with open(args.hot_report_out, "w", encoding="utf-8") as fh:
-            json.dump(alloc_analysis.hot_report_json(), fh, indent=2)
-            fh.write("\n")
 
     if args.out:
         payload = {"rules": rules,

@@ -292,13 +292,18 @@ class Spine {
         self.assertIn("Spine::pump -> Spine::step_a", chain[1])
         self.assertIn("Spine::step_a -> Spine::step_b", chain[2])
 
-    def test_hot_report_charges_the_deep_allocation(self):
-        report = self.analysis.hot_report_json()
-        self.assertIn("Spine::pump", report["roots"])
-        self.assertIn("UringEngine::submit", report["roots"])
-        allocs = report["hot_functions"]["Spine::step_b"]["allocs"]
-        self.assertEqual([a["kind"] for a in allocs], ["new"])
-        self.assertNotIn("Spine::report", report["hot_functions"])
+    def test_r8_charges_the_deep_allocation(self):
+        import allocsum
+        from rules import Finding
+        spine = [f for f in allocsum.rule_r8(self.analysis, Finding)
+                 if f.cls == "Spine"]
+        self.assertEqual(len(spine), 1, [str(f) for f in spine])
+        f = spine[0]
+        self.assertEqual(f.rule, "r8-hotpath-alloc")
+        self.assertTrue(f.symbol.startswith("step_b:new:"), f.symbol)
+        self.assertIn("Spine::step_b allocates", f.message)
+        self.assertIn("ROC_HOT root Spine::pump", f.message)
+        self.assertNotIn("Spine::report", f.message)
 
 
 class TestCallGraph(unittest.TestCase):
