@@ -27,10 +27,9 @@ void write_mesh(shdf::Writer& w, const std::string& window,
 }
 
 void write_field(shdf::Writer& w, const std::string& window,
-                 const MeshBlock& b, const mesh::Field& f, double time,
-                 shdf::Codec codec) {
+                 const MeshBlock& b, const mesh::Field& f, double time) {
   w.add_dataset(field_def(window, b.id(), f.name, f.centering, f.ncomp,
-                          f.data.size(), time, codec),
+                          f.data.size(), time),
                 f.data.data());
 }
 
@@ -67,7 +66,6 @@ void coords_def_into(const std::string& prefix, int pane_id, MeshKind kind,
   def.name = prefix;
   def.name += "coords";
   def.type = DataType::kFloat64;
-  def.codec = shdf::Codec::kNone;
   // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: retained-capacity rebuild of
   // the caller's scratch def; steady state reuses the storage.
   def.dims.resize(2);
@@ -100,7 +98,6 @@ void connectivity_def_into(const std::string& prefix, uint64_t element_count,
   def.name = prefix;
   def.name += "connectivity";
   def.type = DataType::kInt32;
-  def.codec = shdf::Codec::kNone;
   // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: retained-capacity rebuild.
   def.dims.resize(2);
   def.dims[0] = element_count;
@@ -110,13 +107,11 @@ void connectivity_def_into(const std::string& prefix, uint64_t element_count,
 
 void field_def_into(const std::string& prefix, const std::string& field,
                     mesh::Centering centering, int ncomp,
-                    uint64_t value_count, double time, shdf::Codec codec,
-                    DatasetDef& def) {
+                    uint64_t value_count, double time, DatasetDef& def) {
   def.name = prefix;
   def.name += "field:";
   def.name += field;
   def.type = DataType::kFloat64;
-  def.codec = codec;
   // Entity count derived from the data itself, so partially-populated
   // marshalling blocks (field-only transfers) write correct datasets.
   // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: retained-capacity rebuild.
@@ -151,24 +146,24 @@ DatasetDef connectivity_def(const std::string& window, int pane_id,
 DatasetDef field_def(const std::string& window, int pane_id,
                      const std::string& field, mesh::Centering centering,
                      int ncomp, uint64_t value_count, double time,
-                     shdf::Codec codec) {
+                     shdf::Codec) {
   DatasetDef def;
   field_def_into(block_prefix(window, pane_id), field, centering, ncomp,
-                 value_count, time, codec, def);
+                 value_count, time, def);
   return def;
 }
 
 void write_block(shdf::Writer& w, const std::string& window,
                  const MeshBlock& block, const std::string& attribute,
-                 double time, shdf::Codec codec) {
+                 double time) {
   if (attribute == "all") {
     write_mesh(w, window, block, time);
     for (const auto& f : block.fields())
-      write_field(w, window, block, f, time, codec);
+      write_field(w, window, block, f, time);
   } else if (attribute == "mesh") {
     write_mesh(w, window, block, time);
   } else {
-    write_field(w, window, block, block.field(attribute), time, codec);
+    write_field(w, window, block, block.field(attribute), time);
   }
 }
 

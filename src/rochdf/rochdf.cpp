@@ -74,8 +74,7 @@ void Rochdf::write_now(const std::string& path, const std::string& window,
   shdf::Writer w = first ? shdf::Writer(fs_, path, options_.directory)
                          : shdf::Writer::append(fs_, path);
   for (const Pane* p : panes) {
-    roccom::write_block(w, window, *p->block, attribute, time,
-                        options_.codec);
+    roccom::write_block(w, window, *p->block, attribute, time);
     m_blocks_written_.increment();
   }
   w.close();
@@ -117,7 +116,7 @@ void Rochdf::write_job(const Job& job) {
     // Pass-through: dataset payloads stream straight from the buffered
     // wire bytes; no MeshBlock is reconstructed.
     rocpanda::WireBlockView::parse(b).write_to(*writer_, job.window,
-                                               job.time, options_.codec);
+                                               job.time);
     m_blocks_written_.increment();
   }
   m_write_seconds_.observe(telemetry::now() - t0);

@@ -40,8 +40,6 @@ struct Options {
   bool threaded = false;
   /// The paper's Rochdf writes HDF4; kLinear reproduces that behaviour.
   shdf::DirectoryKind directory = shdf::DirectoryKind::kLinear;
-  /// Payload filter for field datasets (geometry stays uncompressed).
-  shdf::Codec codec = shdf::Codec::kNone;
   /// Prepended to every file name (e.g. an output directory).
   std::string file_prefix;
 };

@@ -215,11 +215,9 @@ ClientStats RocpandaClient::stats() const {
   // seq_cst increments mean a concurrent reader can never observe an
   // effect whose cause is missing.
   ClientStats s;
-  s.blocks_fetched = m_blocks_fetched_.value();
   s.bytes_buffered = m_bytes_buffered_.value();
   s.backpressure_waits = m_backpressure_waits_.value();
   s.blocks_sent = m_blocks_sent_.value();
-  s.bytes_sent = m_bytes_sent_.value();
   s.sync_calls = m_sync_calls_.value();
   s.write_calls = m_write_calls_.value();
   return s;

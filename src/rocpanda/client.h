@@ -50,9 +50,7 @@ struct ClientOptions {
 struct ClientStats {
   uint64_t write_calls = 0;
   uint64_t blocks_sent = 0;
-  uint64_t bytes_sent = 0;
   uint64_t sync_calls = 0;
-  uint64_t blocks_fetched = 0;
   uint64_t bytes_buffered = 0;     ///< Client-side buffered (hierarchy mode).
   uint64_t backpressure_waits = 0; ///< write_attribute stalls on capacity.
 };

@@ -107,8 +107,6 @@ class Server {
         static_cast<uint64_t>(m_buffered_bytes_peak_.value());
     s.spills = m_spills_.value();
     s.files_created = m_files_created_.value();
-    s.sync_requests = m_sync_requests_.value();
-    s.read_sessions = m_read_sessions_.value();
     s.restore_errors = m_restore_errors_.value();
     const vfs::AsyncFileSystem::Stats a = async_fs_.stats();
     s.async_submissions = a.submissions;
@@ -371,7 +369,7 @@ class Server {
     // no re-marshalling.  The server-retained scratch makes
     // steady-state writes allocation-free.
     item.view.write_to(*writer_, meta.header.window, meta.header.time,
-                       opts_.codec, &write_scratch_);
+                       &write_scratch_);
     m_blocks_written_.increment();
     m_write_seconds_.observe(telemetry::now() - t0);
   }
@@ -505,7 +503,7 @@ class Server {
     // ship it by reference.  The consuming client verifies the stored
     // checksums the reply carries, so the CRC work runs on the clients in
     // parallel and a corrupt dataset fails that client's read_attribute.
-    // A dataset too malformed to encode (bad codec framing, extent, mesh
+    // A dataset too malformed to encode (bad payload size or extent, mesh
     // kind or node_dims) is answered with the reply's error form, which
     // fails only its owning client; the server keeps serving.
     // The plan is grouped by file, so one Reader serves consecutive

@@ -43,9 +43,6 @@ struct ServerOptions {
   /// Directory engine of the files written (the paper writes HDF4).
   shdf::DirectoryKind directory = shdf::DirectoryKind::kLinear;
 
-  /// Payload filter for field datasets (geometry stays uncompressed).
-  shdf::Codec codec = shdf::Codec::kNone;
-
   /// false (ablation A4): when idle the server spins on the non-blocking
   /// probe, burning a fixed slice of CPU per poll, instead of blocking and
   /// freeing the CPU.
@@ -62,8 +59,6 @@ struct ServerStats {
   uint64_t buffered_bytes_peak = 0;
   uint64_t spills = 0;         ///< Blocks written to make room (overflow).
   uint64_t files_created = 0;
-  uint64_t sync_requests = 0;
-  uint64_t read_sessions = 0;
   uint64_t restore_errors = 0;  ///< restart blocks answered with an error
 
   // Async vfs write path (views over the server registry's vfs.async.*

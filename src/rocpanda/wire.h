@@ -138,8 +138,7 @@ class WireBlock {
 
   /// Writes this block's datasets into `w` under `window` (the same layout
   /// contract as roccom::write_block).
-  void write_to(shdf::Writer& w, const std::string& window, double time,
-                shdf::Codec codec = shdf::Codec::kNone) const;
+  void write_to(shdf::Writer& w, const std::string& window, double time) const;
 
  private:
   friend class WireBlockView;
@@ -203,8 +202,12 @@ class WireBlockView {
   /// caller-retained `scratch` makes steady-state writes allocation-free;
   /// with null a call-local scratch is used.
   void write_to(shdf::Writer& w, const std::string& window, double time,
-                shdf::Codec codec = shdf::Codec::kNone,
                 WriteScratch* scratch = nullptr) const;
+  // The unnamed Codec serves only bench_e2e's measure_layers; it goes with it.
+  void write_to(shdf::Writer& w, const std::string& window, double time,
+                shdf::Codec, WriteScratch* scratch) const {
+    write_to(w, window, time, scratch);
+  }
 
   /// The first section whose payload does not match its CRC-64, or null
   /// when all match.  Requires a checksummed (restart) block.
@@ -239,9 +242,9 @@ class WireBlockView {
 /// from `pool`: a checksummed kind-"all" wire-v2 header whose section table
 /// comes from `r`'s directory (coords, connectivity when present, every
 /// "field:" dataset), then each payload read from the file straight into
-/// its slot (Reader::read_payload_into; kZeroRle decoded there).  The CRCs
-/// are not computed here: each section carries its dataset's stored CRC-64
-/// and the consuming client verifies it.
+/// its slot (Reader::read_payload_into).  The CRCs are not computed here:
+/// each section carries its dataset's stored CRC-64 and the consuming
+/// client verifies it.
 [[nodiscard]] SharedBuffer encode_restore_reply(const shdf::Reader& r,
                                                 const std::string& window,
                                                 int pane_id, BufferPool& pool);

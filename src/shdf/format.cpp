@@ -80,17 +80,17 @@ Attribute read_attr(ByteReader& r) {
 }
 
 void write_dataset_header(ByteWriter& w, const DatasetDef& def,
-                          uint64_t data_bytes, uint64_t stored_bytes,
                           uint64_t checksum) {
+  const uint64_t data_bytes = def.byte_count();
   w.put_string(def.name);
   w.put<uint8_t>(static_cast<uint8_t>(def.type));
-  w.put<uint8_t>(static_cast<uint8_t>(def.codec));
+  w.put<uint8_t>(static_cast<uint8_t>(Codec::kNone));
   w.put<uint32_t>(static_cast<uint32_t>(def.dims.size()));
   for (uint64_t d : def.dims) w.put<uint64_t>(d);
   w.put<uint32_t>(static_cast<uint32_t>(def.attributes.size()));
   for (const auto& a : def.attributes) write_attr(w, a);
   w.put<uint64_t>(data_bytes);
-  w.put<uint64_t>(stored_bytes);
+  w.put<uint64_t>(data_bytes);  // stored_bytes: payloads are stored as is
   w.put<uint64_t>(checksum);
 }
 
@@ -101,10 +101,8 @@ DatasetInfo read_dataset_header(ByteReader& r) {
   if (type > static_cast<uint8_t>(DataType::kFloat64))
     throw FormatError("unknown dataset element type");
   info.def.type = static_cast<DataType>(type);
-  const auto codec = r.get<uint8_t>();
-  if (codec > static_cast<uint8_t>(Codec::kZeroRle))
+  if (r.get<uint8_t>() != static_cast<uint8_t>(Codec::kNone))
     throw FormatError("unknown dataset codec");
-  info.def.codec = static_cast<Codec>(codec);
   const auto ndims = r.get<uint32_t>();
   // Guard allocations against corrupted counts: each dim takes 8 bytes.
   if (ndims > r.remaining() / sizeof(uint64_t))

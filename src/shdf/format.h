@@ -54,11 +54,12 @@ void write_superblock(ByteWriter& w, const Superblock& sb);
 /// Parses a superblock; throws FormatError on bad magic/version.
 Superblock read_superblock(ByteReader& r);
 
-/// Serializes a dataset header (def + payload size + checksum).
+/// Serializes a dataset header (def + payload size + checksum).  The
+/// filter byte is always Codec::kNone and stored_bytes is def.byte_count().
 void write_dataset_header(ByteWriter& w, const DatasetDef& def,
-                          uint64_t data_bytes, uint64_t stored_bytes,
                           uint64_t checksum);
-/// Parses a dataset header; `data_offset` is filled by the caller.
+/// Parses a dataset header; `data_offset` is filled by the caller.  Throws
+/// FormatError on an unknown element type or a non-kNone filter byte.
 DatasetInfo read_dataset_header(ByteReader& r);
 
 void write_directory(ByteWriter& w, const std::vector<DirEntry>& entries);

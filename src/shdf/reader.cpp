@@ -124,22 +124,18 @@ void Reader::check_extent(const DatasetInfo& i) const {
   if (i.data_offset > fsize || i.stored_bytes > fsize - i.data_offset)
     throw FormatError("dataset '" + i.def.name + "' extends past end of " +
                       path_);
-  if (i.def.codec == Codec::kNone && i.stored_bytes != i.data_bytes)
-    throw FormatError("uncompressed payload size mismatch");
+  if (i.stored_bytes != i.data_bytes)
+    throw FormatError("dataset '" + i.def.name + "' in " + path_ +
+                      " stores " + std::to_string(i.stored_bytes) +
+                      " payload bytes but its dims need " +
+                      std::to_string(i.data_bytes));
 }
 
 void Reader::read_payload_into(const DatasetInfo& i, void* out) const {
   check_extent(i);
   file_->seek(i.data_offset);
-  if (i.def.codec == Codec::kNone) {
-    // Zero-element datasets are legal; reads of nothing are no-ops.
-    file_->read(out, static_cast<size_t>(i.stored_bytes));
-    return;
-  }
-  std::vector<unsigned char> stored(static_cast<size_t>(i.stored_bytes));
-  file_->read(stored.data(), stored.size());
-  decode_into(i.def.codec, stored.data(), stored.size(),
-              static_cast<unsigned char*>(out), i.data_bytes);
+  // Zero-element datasets are legal; reads of nothing are no-ops.
+  file_->read(out, static_cast<size_t>(i.data_bytes));
 }
 
 void Reader::read_into(const DatasetInfo& i, void* out) const {

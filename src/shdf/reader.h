@@ -56,15 +56,14 @@ class Reader {
   }
 
   /// Throws FormatError unless `i`'s stored payload lies inside the file
-  /// and, uncompressed, has its declared size.  Call before sizing storage
+  /// and has the size its dims declare.  Call before sizing storage
   /// from `i.data_bytes`, so a corrupted header fails cleanly, not by OOM.
   void check_extent(const DatasetInfo& i) const;
 
   /// The one read pass every typed and raw read goes through: the payload
   /// of `i` (an info() of this reader) lands in `out`, which has room for
-  /// exactly `i.data_bytes`.  kNone payloads are read from the file
-  /// straight into `out`; kZeroRle payloads are decoded into it.  The
-  /// extent and codec framing are validated, but the CRC-64 is NOT checked:
+  /// exactly `i.data_bytes`, read from the file straight into it.  The
+  /// extent and size are validated, but the CRC-64 is NOT checked:
   /// the caller checks `out` against `i.checksum` (read_into does it in
   /// place; Rocpanda's restart ships the stored CRC to the client that
   /// consumes the bytes).

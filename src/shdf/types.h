@@ -11,10 +11,14 @@
 #include <variant>
 #include <vector>
 
-#include "shdf/codec.h"
 #include "util/error.h"
 
 namespace roc::shdf {
+
+/// The dataset header's filter byte.  A payload is stored exactly as it was
+/// checksummed, so kNone is the only legal value; any other byte fails the
+/// header parse.
+enum class Codec : uint8_t { kNone = 0 };
 
 /// Element type of a dataset.
 enum class DataType : uint8_t {
@@ -73,7 +77,6 @@ struct Attribute {
 struct DatasetDef {
   std::string name;            ///< Hierarchical name, e.g. "block_0007/pressure".
   DataType type = DataType::kFloat64;
-  Codec codec = Codec::kNone;  ///< Payload filter applied on disk.
   std::vector<uint64_t> dims;  ///< Extent per dimension; empty means scalar.
   std::vector<Attribute> attributes;
 
@@ -99,9 +102,10 @@ struct DatasetDef {
 struct DatasetInfo {
   DatasetDef def;
   uint64_t data_offset = 0;   ///< Absolute file offset of the payload.
-  uint64_t data_bytes = 0;    ///< Uncompressed payload size.
-  uint64_t stored_bytes = 0;  ///< On-disk (post-codec) payload size.
-  uint64_t checksum = 0;  ///< CRC-64 of the UNCOMPRESSED payload.
+  uint64_t data_bytes = 0;    ///< Payload size implied by the dims.
+  uint64_t stored_bytes = 0;  ///< On-disk payload size; equals data_bytes
+                              ///< in any valid file (Reader::check_extent).
+  uint64_t checksum = 0;      ///< CRC-64 of the payload.
 };
 
 }  // namespace roc::shdf

@@ -98,41 +98,24 @@ void Writer::put_dataset(const DatasetDef& def, const BufferChain& payload) {
   }
   require(fresh_name, "duplicate dataset name: ", def.name);
 
-  // The codec runs over the payload; the checksum stays on the
-  // uncompressed bytes so corruption is caught after decoding.
   Crc64 crc;
   for (const BufferChain::Segment& s : payload.segments())
     crc.update(s.view.data, s.view.size);
-  const uint64_t checksum = crc.value();
 
+  // Zero-copy: one vectored write of header + raw segments.
   hdr_.clear();  // retained scratch: header bytes reuse prior capacity
-  uint64_t stored_bytes = 0;
-  file_->seek(append_offset_);
-  if (def.codec == Codec::kNone) {
-    // Zero-copy fast path: one vectored write of header + raw segments.
-    write_dataset_header(hdr_, def, bytes, bytes, checksum);
-    stored_bytes = bytes;
-    segs_.clear();
-    // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: retained-capacity segment
-    // scratch; steady state reuses the vector's storage.
-    segs_.reserve(1 + payload.segment_count());
+  write_dataset_header(hdr_, def, crc.value());
+  segs_.clear();
+  // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: retained-capacity segment
+  // scratch; steady state reuses the vector's storage.
+  segs_.reserve(1 + payload.segment_count());
+  // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: reserved above.
+  segs_.emplace_back(hdr_.data(), hdr_.size());
+  for (const BufferChain::Segment& s : payload.segments())
     // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: reserved above.
-    segs_.emplace_back(hdr_.data(), hdr_.size());
-    for (const BufferChain::Segment& s : payload.segments())
-      // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: reserved above.
-      segs_.push_back(s.view);
-    file_->writev(segs_);
-  } else {
-    // Filters transform the payload, so flatten and encode first.
-    // ROCANALYZE-ALLOW(r9-copy-discipline,r8-hotpath-alloc): why: codecs
-    // need contiguous input; compression is the opt-in ablation path.
-    const auto flat = payload.to_vector();
-    const auto stored = encode(def.codec, flat.data(), flat.size());
-    write_dataset_header(hdr_, def, bytes, stored.size(), checksum);
-    stored_bytes = stored.size();
-    file_->write(hdr_.data(), hdr_.size());
-    if (!stored.empty()) file_->write(stored.data(), stored.size());
-  }
+    segs_.push_back(s.view);
+  file_->seek(append_offset_);
+  file_->writev(segs_);
 
   {
     // Retained-until-close directory metadata (entry name copy + table
@@ -142,7 +125,7 @@ void Writer::put_dataset(const DatasetDef& def, const BufferChain& payload) {
     // dataset, retained until close; the format's metadata cost.
     entries_.push_back(DirEntry{def.name, append_offset_});
   }
-  append_offset_ += hdr_.size() + stored_bytes;
+  append_offset_ += hdr_.size() + bytes;
 
   // HDF4-like mode keeps the on-disk bookkeeping current after every
   // append, which is exactly why its cost grows with the dataset count.

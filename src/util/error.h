@@ -120,7 +120,7 @@ ROC_COLD [[noreturn]] inline void require_fail(F&& message_fn) {
 /// Throws InvalidArgument if `cond` is false.
 ///
 /// The message is assembled ONLY on failure, so hot paths (wire decode,
-/// SHDF codec, per-block loops) pay nothing when the condition holds.
+/// SHDF headers, per-block loops) pay nothing when the condition holds.
 /// Three spellings:
 ///
 ///   require(ok, "literal message");                       // no allocation

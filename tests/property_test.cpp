@@ -136,7 +136,7 @@ INSTANTIATE_TEST_SUITE_P(Shapes, DeploymentSweep,
 
 /// Structured or unstructured block (possibly without elements, so its
 /// element-centred field is empty) with three fields: arbitrary bit
-/// patterns, half-zero values, and all zeros (the zero-RLE codec's cases).
+/// patterns, half-zero values, and all zeros (long runs of one byte).
 mesh::MeshBlock random_restart_block(int id, Rng& rng) {
   mesh::MeshBlock b;
   if (rng.next_below(2) == 0) {
@@ -182,8 +182,8 @@ class RestartProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(RestartProperty, NToMRestoreIsByteExact) {
   // The seed fixes the whole scenario: who wrote the files (N Rocpanda
-  // servers or Rochdf ranks), the directory engine and codec, the block
-  // set and both decompositions, M reader servers, and what is restored.
+  // servers or Rochdf ranks), the directory engine, the block set and
+  // both decompositions, M reader servers, and what is restored.
   Rng rng(static_cast<uint64_t>(GetParam()) * 0x9E3779B97F4A7C15ULL);
   const bool rochdf_written = rng.next_below(3) == 0;
   const int wclients = static_cast<int>(rng.next_range(1, 4));
@@ -194,8 +194,8 @@ TEST_P(RestartProperty, NToMRestoreIsByteExact) {
       static_cast<int>(rng.next_range(1, std::min(3, rclients)));
   const auto directory = rng.next_below(2) ? shdf::DirectoryKind::kLinear
                                            : shdf::DirectoryKind::kIndexed;
-  const auto codec =
-      rng.next_below(2) ? shdf::Codec::kZeroRle : shdf::Codec::kNone;
+  // Former payload-codec draw: consumed so each seed keeps its scenario.
+  (void)rng.next_below(2);
   const std::string attribute =
       std::vector<std::string>{"all", "mesh", "velocity", "pressure",
                                "zeros"}[rng.next_below(5)];
@@ -213,8 +213,7 @@ TEST_P(RestartProperty, NToMRestoreIsByteExact) {
                << (rochdf_written ? "Rochdf" : "Rocpanda") << " " << wclients
                << "+" << wservers << " -> Rocpanda " << rclients << "+"
                << rservers << ", " << nblocks << " blocks, attribute "
-               << attribute << (fetch ? " (fetch_blocks)" : "")
-               << ", codec " << shdf::codec_name(codec));
+               << attribute << (fetch ? " (fetch_blocks)" : ""));
 
   // Copies of the blocks client `me` owns under `owner_of`, registered in
   // window "w" (the vector is sized up front: panes register by address).
@@ -236,7 +235,6 @@ TEST_P(RestartProperty, NToMRestoreIsByteExact) {
       comm::RealEnv env;
       rochdf::Options o;
       o.directory = directory;
-      o.codec = codec;
       rochdf::Rochdf io(world, env, fs, o);
       roccom::Roccom com;
       auto mine = own(writer_of, world.rank());
@@ -253,7 +251,6 @@ TEST_P(RestartProperty, NToMRestoreIsByteExact) {
       if (layout.is_server(world.rank())) {
         rocpanda::ServerOptions so;
         so.directory = directory;
-        so.codec = codec;
         (void)rocpanda::run_server(world, *local, env, fs, layout, so);
         return;
       }

@@ -280,17 +280,19 @@ TEST(Rocpanda, MissingBlockOnRestartThrows) {
                  });
 }
 
-/// Replaces the byte at `offset` into dataset `name`'s stored payload in
-/// `path` with `patch(old byte)`.
+/// Replaces the byte `offset` bytes from the start of dataset `name`'s
+/// stored payload in `path` with `patch(old byte)`.  A negative offset
+/// reaches into the dataset's header, which ends with data_bytes,
+/// stored_bytes and the checksum (8 bytes each).
 template <typename Patch>
 void patch_stored_byte(vfs::FileSystem& fs, const std::string& path,
-                       const std::string& name, uint64_t offset,
+                       const std::string& name, int64_t offset,
                        Patch patch) {
   uint64_t at = 0;
   {
     shdf::Reader r(fs, path);
     const shdf::DatasetInfo& i = r.info(name);
-    ASSERT_GT(i.stored_bytes, offset);
+    ASSERT_GT(static_cast<int64_t>(i.stored_bytes), offset);
     at = i.data_offset + offset;
   }
   auto f = fs.open(path, vfs::OpenMode::kReadWrite);
@@ -388,27 +390,30 @@ TEST(Rocpanda, CorruptRestartFailsTheOwningClientOnly) {
 }
 
 TEST(Rocpanda, StructurallyBadRestartFailsTheOwningClientOnly) {
-  // A zero-RLE field whose first token is unknown cannot even be decoded
-  // on the server.  The server answers that pane with the reply's error
-  // form and keeps serving: the owning client gets a FormatError naming
-  // the file and pane, the other client restores byte-exact, and the run
-  // ends instead of hanging in recv.  The server counts the error reply
-  // and logs it (an error line, so the flight recorder keeps it too); no
-  // checksum failed.
+  // A field whose header stores a payload size its dims disagree with
+  // cannot even be read on the server.  The server answers that pane with
+  // the reply's error form and keeps serving: the owning client gets a
+  // FormatError naming the file, pane and dataset, the other client
+  // restores byte-exact, and the run ends instead of hanging in recv.  The
+  // server counts the error reply and logs it (an error line, so the
+  // flight recorder keeps it too); no checksum failed.
   vfs::MemFileSystem fs;
-  ServerOptions opts;
-  opts.codec = shdf::Codec::kZeroRle;
-  write_one_block_per_client(fs, "badrle", opts);
-  patch_stored_byte(fs, "badrle_s0000.shdf",
-                    "fluid/block_000001/field:pressure", 0,
-                    [](unsigned char) { return static_cast<unsigned char>(7); });
+  write_one_block_per_client(fs, "badsize", ServerOptions{});
+  // Flip the low byte of the header's stored_bytes: 27 element values
+  // take 216 = 0xD8 bytes, which becomes 0x27.
+  patch_stored_byte(fs, "badsize_s0000.shdf",
+                    "fluid/block_000001/field:pressure", -16,
+                    [](unsigned char b) { return b ^ 0xFF; });
+  const std::string reader_error =
+      "dataset 'fluid/block_000001/field:pressure' in badsize_s0000.shdf "
+      "stores 39 payload bytes but its dims need 216";
   ScopedLogCapture log(LogLevel::kError);
   const RestoreFailureCounts n = restore_expecting_pane1_failure(
-      fs, "badrle", {"'badrle'", "pane 1", "unknown codec token"});
+      fs, "badsize", {"'badsize'", "pane 1", reader_error});
   EXPECT_EQ(n.client_checksum_failures, 0u);
   EXPECT_EQ(n.server_restore_errors, 1u);
-  EXPECT_TRUE(log.contains("cannot restore pane 1 from 'badrle_s0000.shdf'"));
-  EXPECT_TRUE(log.contains("unknown codec token"));
+  EXPECT_TRUE(log.contains("cannot restore pane 1 from 'badsize_s0000.shdf'"));
+  EXPECT_TRUE(log.contains(reader_error));
 }
 
 TEST(Rocpanda, ActiveBufferingOverflowSpillsWithoutDataLoss) {

@@ -7,7 +7,6 @@
 
 #include "shdf/reader.h"
 #include "shdf/writer.h"
-#include "util/rng.h"
 #include "vfs/vfs.h"
 
 namespace roc::shdf {
@@ -213,148 +212,6 @@ INSTANTIATE_TEST_SUITE_P(DirectoryKinds, ShdfTest,
                                       : "Indexed";
                          });
 
-// --- codecs (SHDF's analogue of HDF I/O filters) -----------------------------
-
-TEST(Codec, ZeroRleRoundTripShapes) {
-  Rng rng(11);
-  for (int trial = 0; trial < 40; ++trial) {
-    std::vector<unsigned char> data(rng.next_below(5000));
-    // Mix of zero runs and random bytes.
-    size_t i = 0;
-    while (i < data.size()) {
-      const size_t run = 1 + rng.next_below(200);
-      const bool zeros = rng.next_below(2) == 0;
-      for (size_t k = 0; k < run && i < data.size(); ++k, ++i)
-        data[i] = zeros ? 0 : static_cast<unsigned char>(rng.next_u64());
-    }
-    const auto enc = encode(Codec::kZeroRle, data.data(), data.size());
-    const auto dec =
-        decode(Codec::kZeroRle, enc.data(), enc.size(), data.size());
-    EXPECT_EQ(dec, data);
-    // decode_into must overwrite every byte of dirty caller storage.
-    std::vector<unsigned char> into(data.size(), 0xFF);
-    decode_into(Codec::kZeroRle, enc.data(), enc.size(), into.data(),
-                into.size());
-    EXPECT_EQ(into, data);
-  }
-}
-
-TEST(Codec, ZeroHeavyDataCompressesWell) {
-  std::vector<unsigned char> data(100000, 0);
-  data[5] = 1;
-  data[99999] = 2;
-  const auto enc = encode(Codec::kZeroRle, data.data(), data.size());
-  EXPECT_LT(enc.size(), data.size() / 100);
-}
-
-TEST(Codec, IncompressibleDataGrowsOnlyMarginally) {
-  Rng rng(12);
-  std::vector<unsigned char> data(10000);
-  for (auto& b : data) b = static_cast<unsigned char>(1 + rng.next_below(255));
-  const auto enc = encode(Codec::kZeroRle, data.data(), data.size());
-  EXPECT_LT(enc.size(), data.size() + 16);
-}
-
-TEST(Codec, MalformedStreamsRejected) {
-  std::vector<unsigned char> data(64, 0);
-  auto enc = encode(Codec::kZeroRle, data.data(), data.size());
-  // Truncation.
-  EXPECT_THROW((void)decode(Codec::kZeroRle, enc.data(), enc.size() - 1, 64),
-               FormatError);
-  // Wrong expected size (both directions).
-  EXPECT_THROW((void)decode(Codec::kZeroRle, enc.data(), enc.size(), 63),
-               FormatError);
-  EXPECT_THROW((void)decode(Codec::kZeroRle, enc.data(), enc.size(), 65),
-               FormatError);
-  // Unknown token.
-  enc[0] = 0x7F;
-  EXPECT_THROW((void)decode(Codec::kZeroRle, enc.data(), enc.size(), 64),
-               FormatError);
-}
-
-TEST(Codec, CompressedDatasetRoundTripThroughFile) {
-  vfs::MemFileSystem fs;
-  std::vector<double> sparse(5000, 0.0);  // zero-heavy: compresses
-  sparse[7] = 3.25;
-  sparse[4999] = -1.5;
-  std::vector<double> dense(512);
-  Rng rng(13);
-  for (auto& v : dense) v = rng.next_double();
-  {
-    Writer w(fs, "codec.shdf");
-    DatasetDef def;
-    def.name = "sparse";
-    def.type = DataType::kFloat64;
-    def.codec = Codec::kZeroRle;
-    def.dims = {sparse.size()};
-    w.add_dataset(def, sparse.data());
-    w.add("dense", dense);  // default: uncompressed
-  }
-  Reader r(fs, "codec.shdf");
-  EXPECT_EQ(r.read<double>("sparse"), sparse);
-  EXPECT_EQ(r.read<double>("dense"), dense);
-  // The stored footprint of the sparse dataset is far below its logical
-  // size, and the metadata reports both.
-  EXPECT_EQ(r.info("sparse").data_bytes, sparse.size() * 8);
-  EXPECT_LT(r.info("sparse").stored_bytes, sparse.size());
-  EXPECT_EQ(r.info("dense").stored_bytes, r.info("dense").data_bytes);
-}
-
-TEST(Codec, ChecksumStillDetectsCorruptionUnderCompression) {
-  vfs::MemFileSystem fs;
-  std::vector<double> v(1000, 0.0);
-  v[500] = 42.0;
-  {
-    Writer w(fs, "c.shdf");
-    DatasetDef def;
-    def.name = "x";
-    def.type = DataType::kFloat64;
-    def.codec = Codec::kZeroRle;
-    def.dims = {v.size()};
-    w.add_dataset(def, v.data());
-  }
-  // Flip a byte inside the stored (compressed) payload.
-  {
-    Reader probe(fs, "c.shdf");
-    const auto off = probe.info("x").data_offset;
-    auto f = fs.open("c.shdf", vfs::OpenMode::kReadWrite);
-    unsigned char b;
-    f->seek(off + 7);
-    f->read(&b, 1);
-    b ^= 0x5A;
-    f->seek(off + 7);
-    f->write(&b, 1);
-  }
-  Reader r(fs, "c.shdf");
-  EXPECT_THROW((void)r.read_raw("x"), FormatError);
-}
-
-TEST(Codec, WorksWithAppendAndBothDirectoryKinds) {
-  for (auto kind : {DirectoryKind::kLinear, DirectoryKind::kIndexed}) {
-    vfs::MemFileSystem fs;
-    std::vector<double> zeros(2000, 0.0);
-    {
-      Writer w(fs, "a.shdf", kind);
-      DatasetDef def;
-      def.name = "z0";
-      def.codec = Codec::kZeroRle;
-      def.dims = {zeros.size()};
-      w.add_dataset(def, zeros.data());
-    }
-    {
-      Writer w = Writer::append(fs, "a.shdf");
-      DatasetDef def;
-      def.name = "z1";
-      def.codec = Codec::kZeroRle;
-      def.dims = {zeros.size()};
-      w.add_dataset(def, zeros.data());
-    }
-    Reader r(fs, "a.shdf");
-    EXPECT_EQ(r.read<double>("z0"), zeros);
-    EXPECT_EQ(r.read<double>("z1"), zeros);
-  }
-}
-
 TEST(Shdf, NotAnShdfFileRejected) {
   vfs::MemFileSystem fs;
   {
@@ -363,6 +220,39 @@ TEST(Shdf, NotAnShdfFileRejected) {
     f->write(junk.data(), junk.size());
   }
   EXPECT_THROW(Reader(fs, "junk.bin"), FormatError);
+}
+
+TEST(Shdf, UnknownFilterByteRejectedAtOpen) {
+  // Payloads are stored exactly as checksummed, so the dataset header's
+  // filter byte has one legal value (0).  Any other fails the open, before
+  // a read could trust the payload size.
+  for (const unsigned char filter : {1, 2}) {
+    vfs::MemFileSystem fs;
+    {
+      Writer w(fs, "filter.shdf");
+      w.add("x", std::vector<double>{1.0, 2.0});
+    }
+    {
+      // The first header follows the superblock: name length (u32), the
+      // name "x", the element type byte, then the filter byte.
+      const uint64_t at = kSuperblockBytes + sizeof(uint32_t) + 1 + 1;
+      auto f = fs.open("filter.shdf", vfs::OpenMode::kReadWrite);
+      unsigned char old = 0xFF;
+      f->seek(at);
+      f->read(&old, 1);
+      ASSERT_EQ(old, 0u);
+      f->seek(at);
+      f->write(&filter, 1);
+    }
+    try {
+      Reader r(fs, "filter.shdf");
+      ADD_FAILURE() << "filter byte " << int{filter} << " accepted";
+    } catch (const FormatError& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown dataset codec"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Shdf, TruncatedFileRejected) {
